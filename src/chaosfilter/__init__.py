@@ -1,6 +1,5 @@
 """Filtering and state estimation for partially observed dissipative chaos."""
 
-from ._accel import NUMBA_ENABLED
 from .dynamics import (
     BlowUpError,
     DissipativeModel,

@@ -1,38 +1,16 @@
 """Hot numeric kernels: batched RK4 steppers and the spectral convolution.
 
-Every kernel has two builds with identical semantics:
-
-* ``*_numba`` -- explicit loops compiled with ``@njit`` (fast path),
-* ``*_numpy`` -- vectorized numpy (fallback path).
-
-The unsuffixed names exported at the bottom point at the active build, as
-selected by :mod:`chaosfilter._accel`. States are batched row-wise: shape
-``(n_batch, dim)`` float64 (complex128 for spectral coefficients).
+One vectorized numpy build per kernel. States are batched row-wise: shape
+``(n_batch, dim)`` float64 (complex128 for spectral coefficients), and the
+per-row arithmetic does not depend on the batch size.
 """
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
-__all__ = [
-    "NUMBA_ENABLED",
-    "lorenz63_rk4",
-    "lorenz96_rk4",
-    "bilinear_conv",
-    "lorenz63_rk4_numpy",
-    "lorenz96_rk4_numpy",
-    "bilinear_conv_numpy",
-    "lorenz63_rk4_numba",
-    "lorenz96_rk4_numba",
-    "bilinear_conv_numba",
-]
+__all__ = ["lorenz63_rk4", "lorenz96_rk4", "bilinear_conv"]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy builds
-
-
-def lorenz63_rk4_numpy(u, nsub, dt, a, b, f3):
+def lorenz63_rk4(u, nsub, dt, a, b, f3):
     """Advance (n,3) states through nsub RK4 substeps of size dt."""
 
     def field(s):
@@ -51,7 +29,7 @@ def lorenz63_rk4_numpy(u, nsub, dt, a, b, f3):
     return u
 
 
-def lorenz96_rk4_numpy(u, nsub, dt, forcing):
+def lorenz96_rk4(u, nsub, dt, forcing):
     """Advance (n,d) cyclic-advection states through nsub RK4 substeps."""
 
     def field(s):
@@ -67,7 +45,7 @@ def lorenz96_rk4_numpy(u, nsub, dt, forcing):
     return u
 
 
-def bilinear_conv_numpy(u, v, row_idx, pcols, qcols, weights, n_out):
+def bilinear_conv(u, v, row_idx, pcols, qcols, weights, n_out):
     """Sparse convolution out[k] = sum over entries t with row_idx[t] = k of
     weights[t] * u[pcols[t]] * v[qcols[t]].
 
@@ -78,105 +56,3 @@ def bilinear_conv_numpy(u, v, row_idx, pcols, qcols, weights, n_out):
     out = np.bincount(row_idx, weights=prod.real, minlength=n_out).astype(complex)
     out += 1j * np.bincount(row_idx, weights=prod.imag, minlength=n_out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba builds (loop form)
-
-
-def _lorenz63_rk4_loops(u, nsub, dt, a, b, f3):
-    out = u.copy()
-    for i in range(out.shape[0]):
-        x = out[i, 0]
-        y = out[i, 1]
-        z = out[i, 2]
-        for _ in range(nsub):
-            k1x = a * (y - x)
-            k1y = -a * x - y - x * z
-            k1z = f3 - b * z + x * y
-            x1 = x + 0.5 * dt * k1x
-            y1 = y + 0.5 * dt * k1y
-            z1 = z + 0.5 * dt * k1z
-            k2x = a * (y1 - x1)
-            k2y = -a * x1 - y1 - x1 * z1
-            k2z = f3 - b * z1 + x1 * y1
-            x2 = x + 0.5 * dt * k2x
-            y2 = y + 0.5 * dt * k2y
-            z2 = z + 0.5 * dt * k2z
-            k3x = a * (y2 - x2)
-            k3y = -a * x2 - y2 - x2 * z2
-            k3z = f3 - b * z2 + x2 * y2
-            x3 = x + dt * k3x
-            y3 = y + dt * k3y
-            z3 = z + dt * k3z
-            k4x = a * (y3 - x3)
-            k4y = -a * x3 - y3 - x3 * z3
-            k4z = f3 - b * z3 + x3 * y3
-            x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y += (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            z += (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        out[i, 0] = x
-        out[i, 1] = y
-        out[i, 2] = z
-    return out
-
-
-def _lorenz96_rk4_loops(u, nsub, dt, forcing):
-    n, d = u.shape
-    out = u.copy()
-    x = np.empty(d)
-    k1 = np.empty(d)
-    k2 = np.empty(d)
-    k3 = np.empty(d)
-    k4 = np.empty(d)
-    xs = np.empty(d)
-    for i in range(n):
-        for j in range(d):
-            x[j] = out[i, j]
-        for _ in range(nsub):
-            for j in range(d):
-                k1[j] = (x[(j + 1) % d] - x[(j - 2) % d]) * x[(j - 1) % d] - x[j] + forcing
-            for j in range(d):
-                xs[j] = x[j] + 0.5 * dt * k1[j]
-            for j in range(d):
-                k2[j] = (xs[(j + 1) % d] - xs[(j - 2) % d]) * xs[(j - 1) % d] - xs[j] + forcing
-            for j in range(d):
-                xs[j] = x[j] + 0.5 * dt * k2[j]
-            for j in range(d):
-                k3[j] = (xs[(j + 1) % d] - xs[(j - 2) % d]) * xs[(j - 1) % d] - xs[j] + forcing
-            for j in range(d):
-                xs[j] = x[j] + dt * k3[j]
-            for j in range(d):
-                k4[j] = (xs[(j + 1) % d] - xs[(j - 2) % d]) * xs[(j - 1) % d] - xs[j] + forcing
-            for j in range(d):
-                x[j] += (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-        for j in range(d):
-            out[i, j] = x[j]
-    return out
-
-
-def _bilinear_conv_loops(u, v, row_ptr, pcols, qcols, weights):
-    n_out = row_ptr.shape[0] - 1
-    out = np.zeros(n_out, np.complex128)
-    for k in range(n_out):
-        acc = 0.0 + 0.0j
-        for t in range(row_ptr[k], row_ptr[k + 1]):
-            acc += weights[t] * u[pcols[t]] * v[qcols[t]]
-        out[k] = acc
-    return out
-
-
-if NUMBA_ENABLED:
-    lorenz63_rk4_numba = njit(cache=True, nogil=True)(_lorenz63_rk4_loops)
-    lorenz96_rk4_numba = njit(cache=True, nogil=True)(_lorenz96_rk4_loops)
-    bilinear_conv_numba = njit(cache=True, nogil=True)(_bilinear_conv_loops)
-    lorenz63_rk4 = lorenz63_rk4_numba
-    lorenz96_rk4 = lorenz96_rk4_numba
-    bilinear_conv = bilinear_conv_numba
-else:
-    lorenz63_rk4_numba = None
-    lorenz96_rk4_numba = None
-    bilinear_conv_numba = None
-    lorenz63_rk4 = lorenz63_rk4_numpy
-    lorenz96_rk4 = lorenz96_rk4_numpy
-    bilinear_conv = bilinear_conv_numpy

@@ -30,13 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("CHAOSFILTER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="chaosfilter",
@@ -52,8 +45,8 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--threads",
             type=int,
-            default=_default_threads(),
-            help="worker threads (results are independent of this)",
+            default=1,
+            help="accepted for compatibility; has no effect",
         )
         p.add_argument(
             "--format", choices=["csv"], default="csv", help="output format"
@@ -96,6 +89,15 @@ def _cmd_simulate(args):
     return 0
 
 
+def _read_data(reader, path, what):
+    try:
+        return reader(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {exc.filename}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} file: {exc}") from exc
+
+
 def _cmd_filter(args):
     cfg = cfgmod.load_experiment_config(args.config, seed_override=args.seed)
     if len(cfg.filters) != 1:
@@ -104,16 +106,23 @@ def _cmd_filter(args):
     projection = cfgmod.build_projection(cfg.observation, model)
     noise = cfgmod.build_noise(cfg.noise, projection)
     init_sampler = cfgmod.build_init_sampler(cfg.model, model)
-    try:
-        obs = observation.import_observations(args.obs)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"observation file not found: {exc.filename}") from exc
+    obs = _read_data(observation.import_observations, args.obs, "observation")
+    if obs.ys.shape[1] != model.dim:
+        raise ConfigError(
+            f"observation file has dimension {obs.ys.shape[1]}, model has {model.dim}"
+        )
     truth = None
     if args.truth:
-        try:
-            truth = observation.import_truth(args.truth)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"truth file not found: {exc.filename}") from exc
+        truth = _read_data(observation.import_truth, args.truth, "truth")
+        if truth.shape[1] != model.dim:
+            raise ConfigError(
+                f"truth file has dimension {truth.shape[1]}, model has {model.dim}"
+            )
+        if truth.shape[0] <= obs.n_steps:
+            raise ConfigError(
+                f"truth file has {truth.shape[0]} states, {obs.n_steps} steps need "
+                f"{obs.n_steps + 1}"
+            )
     runner = cfgmod.build_filter_runner(
         cfg.filters[0], model, projection, noise, init_sampler
     )
@@ -132,7 +141,7 @@ def _cmd_mse_table(args):
     cfg = cfgmod.load_experiment_config(
         args.config, seed_override=args.seed, out_override=args.out
     )
-    report = harness.run_mse_experiment(cfg, threads=args.threads)
+    report = harness.run_mse_experiment(cfg)
     harness.write_report(report, cfg.out_path)
     print(f"{'filter':<24}{'eps':>10}{'mse':>14}{'stderr':>12}{'used':>6}{'excl':>6}")
     for row in report.rows:
@@ -155,18 +164,25 @@ def _cmd_detect(args):
         raise ConfigError("[linear] must define the signal map L")
     L = cfgmod.parse_matrix(sec["l"])
     d = L.shape[0]
+    if L.shape != (d, d):
+        raise ConfigError(f"the signal map L must be square, got {d}x{L.shape[1]}")
     if "p" in sec:
         P = cfgmod.parse_matrix(sec["p"])
+        if P.shape[1] != d:
+            raise ConfigError(f"P has {P.shape[1]} columns, L needs {d}")
     elif "observed" in sec:
         mask = np.zeros(d)
-        for idx in [int(t) for t in sec["observed"].split()]:
+        for idx in cfgmod._ints(sec["observed"]):
             if not 0 <= idx < d:
                 raise ConfigError(f"observed index {idx} out of range")
             mask[idx] = 1.0
         P = np.diag(mask)
     else:
         raise ConfigError("[linear] must define 'p' or 'observed'")
-    budget = int(sec.get("budget", 20))
+    try:
+        budget = int(sec.get("budget", 20))
+    except ValueError:
+        raise ConfigError(f"budget must be an integer, got {sec['budget']!r}") from None
 
     verdict = linear_theory.hautus_detectable(L, P)
     print(f"signal map: {d}x{d}, spectral radius {linear_theory.spectral_radius(L):.6g}")

@@ -19,12 +19,22 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
+def _numbers(text, kind, what):
+    out = []
+    for tok in text.replace(",", " ").split():
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            raise ConfigError(f"bad {what} {tok!r} in {text!r}") from None
+    return out
+
+
 def _floats(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return _numbers(text, float, "number")
 
 
 def _ints(text):
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return _numbers(text, int, "integer")
 
 
 def parse_matrix(text):

@@ -3,12 +3,12 @@
 The central protocol: draw ``n_inits`` signal starts, pair each with
 ``n_noise`` observation noise realizations, filter every combination at
 every noise strength, and aggregate the squared estimation error at final
-time. All randomness flows through named substreams of one master seed, so
-reports are byte-stable under any execution order or worker count.
+time. Trials run one after another in a single thread. All randomness
+flows through named substreams of one master seed, so reports are
+byte-stable under any trial order.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -81,7 +81,7 @@ def _final_error(run, mode, n_steps):
     return float(run.sq_errors[-1])
 
 
-def run_mse_experiment(config, threads=1) -> MseReport:
+def run_mse_experiment(config) -> MseReport:
     """Execute the full protocol described by an ExperimentConfig."""
     from . import config as cfgmod
 
@@ -136,11 +136,7 @@ def run_mse_experiment(config, threads=1) -> MseReport:
                     out[(spec["name"], eps)] = TRIAL_EXCLUDED
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, trial_ids))
-    else:
-        results = [one_trial(t) for t in trial_ids]
+    results = [one_trial(t) for t in trial_ids]
 
     rows = []
     slopes = {}

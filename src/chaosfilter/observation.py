@@ -294,13 +294,21 @@ def export_observations(seq: ObservationSequence, projection, path):
 
 
 def import_observations(path) -> ObservationSequence:
-    """Read back a sequence written by :func:`export_observations`."""
+    """Read back a sequence written by :func:`export_observations`.
+
+    Raises ValueError on a ``.meta`` file missing a required key, on a
+    malformed index token, and on a step or index outside the ranges the
+    ``.meta`` file declares.
+    """
     meta = {}
     with open(str(path) + ".meta") as fh:
         for line in fh:
             if "=" in line:
                 key, val = line.split("=", 1)
                 meta[key.strip()] = val.strip()
+    missing = [key for key in ("eps", "h", "n_steps", "dim") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}.meta lacks {', '.join(missing)}")
     n_steps = int(meta["n_steps"])
     dim = int(meta["dim"])
     is_complex = meta.get("complex", "0") == "1"
@@ -311,14 +319,23 @@ def import_observations(path) -> ObservationSequence:
         header = next(reader)
         if header[:3] != ["j", "index", "value"]:
             raise ValueError(f"unexpected observation CSV header: {header}")
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             j, token, value = int(row[0]), row[1], float(row[2])
-            if token.endswith("r"):
-                ys[j - 1, int(token[:-1])] += value
-            elif token.endswith("i"):
-                ys[j - 1, int(token[:-1])] += 1j * value
+            part = token[-1:] if token[-1:] in ("r", "i") else ""
+            idx = token[: len(token) - len(part)]
+            if not idx.isdigit():
+                raise ValueError(f"{path}, line {line}: bad index token {token!r}")
+            idx = int(idx)
+            if not 0 <= idx < dim:
+                raise ValueError(f"{path}, line {line}: index {idx} outside [0, {dim})")
+            if not 1 <= j <= n_steps:
+                raise ValueError(f"{path}, line {line}: step {j} outside 1..{n_steps}")
+            if part == "r":
+                ys[j - 1, idx] += value
+            elif part == "i":
+                ys[j - 1, idx] += 1j * value
             else:
-                ys[j - 1, int(token)] = value
+                ys[j - 1, idx] = value
     return ObservationSequence(
         eps=float(meta["eps"]),
         h=float(meta["h"]),
@@ -354,6 +371,8 @@ def import_truth(path):
         header = next(reader)
         is_complex = header[-1].endswith("i")
         rows = [row[1:] for row in reader]
+    if not rows:
+        raise ValueError(f"{path} holds no states")
     data = np.array(rows, dtype=float)
     if is_complex:
         return data[:, 0::2] + 1j * data[:, 1::2]

@@ -78,8 +78,6 @@ class SpectralGrid:
         self.conv_p = np.array(pcols, dtype=np.int64)
         self.conv_q = np.array(qcols, dtype=np.int64)
         self.conv_w = np.array(weights, dtype=np.complex128)
-        counts = np.bincount(self.conv_rows, minlength=self.n_reps)
-        self.conv_row_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
     # -- representation helpers ------------------------------------------------
 
@@ -130,15 +128,9 @@ class SpectralNSModel:
 
     def _conv_full(self, u_full, v_full):
         g = self.grid
-        if _kernels.NUMBA_ENABLED:
-            out_reps = _kernels.bilinear_conv(
-                u_full, v_full, g.conv_row_ptr, g.conv_p, g.conv_q, g.conv_w
-            )
-        else:
-            out_reps = _kernels.bilinear_conv(
-                u_full, v_full, g.conv_rows, g.conv_p, g.conv_q, g.conv_w, g.n_reps
-            )
-        return out_reps
+        return _kernels.bilinear_conv(
+            u_full, v_full, g.conv_rows, g.conv_p, g.conv_q, g.conv_w, g.n_reps
+        )
 
     def bilinear(self, u_reps, w_reps):
         """Symmetric advection form B(u, w), representative coefficients."""

@@ -31,14 +31,14 @@ def _report(line):
 def l63_table():
     cfg = load_experiment_config(os.path.join(CONFIG_DIR, "l63_table1.cfg"))
     t0 = time.time()
-    report = harness.run_mse_experiment(cfg, threads=1)
+    report = harness.run_mse_experiment(cfg)
     return report, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def l96_table():
     cfg = load_experiment_config(os.path.join(CONFIG_DIR, "l96_table2.cfg"))
-    report = harness.run_mse_experiment(cfg, threads=1)
+    report = harness.run_mse_experiment(cfg)
     return report
 
 
@@ -46,7 +46,7 @@ def l96_table():
 def sandwich():
     cfg = load_experiment_config(os.path.join(CONFIG_DIR, "l63_sandwich.cfg"))
     t0 = time.time()
-    report = harness.run_mse_experiment(cfg, threads=1)
+    report = harness.run_mse_experiment(cfg)
     return report, time.time() - t0
 
 

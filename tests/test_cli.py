@@ -141,6 +141,91 @@ def test_missing_observation_file_exits_one(tmp_path, capsys):
     assert "not found" in err
 
 
+DETECT = """
+[linear]
+L = {L}
+{extra}
+"""
+
+
+@pytest.mark.parametrize(
+    "command,body",
+    [
+        ("detect", DETECT.format(L="1 x; 0 1", extra="observed = 0")),
+        ("detect", DETECT.format(L="1 2", extra="observed = 0")),
+        ("detect", DETECT.format(L="1 0; 0 1", extra="observed = 0 x")),
+        ("detect", DETECT.format(L="1 0; 0 1", extra="observed = 0\nbudget = many")),
+        ("detect", DETECT.format(L="1 0; 0 1", extra="P = 1 0 0")),
+        ("mse-table", TINY.replace("observed = 0", "observed = 0 x").format(out="o.csv")),
+    ],
+    ids=["L-token", "L-not-square", "observed-token", "budget-token", "P-columns",
+         "mse-observed-token"],
+)
+def test_bad_config_numbers_exit_one(tmp_path, capsys, command, body):
+    cfg = write(tmp_path, body)
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:")
+    assert "Traceback" not in err
+
+
+def _append(path, text):
+    with open(path, "a") as fh:
+        fh.write(text)
+
+
+def _drop_last_line(path):
+    lines = open(path).readlines()
+    open(path, "w").writelines(lines[:-1])
+
+
+def _drop_meta_key(key):
+    def corrupt(obs, truth):
+        lines = open(obs + ".meta").read().splitlines(keepends=True)
+        open(obs + ".meta", "w").writelines(
+            ln for ln in lines if not ln.startswith(key + " ")
+        )
+    return corrupt
+
+
+CORRUPTIONS = {
+    "index-out-of-range": lambda obs, truth: _append(obs, "1,99,0.5\n"),
+    "negative-index": lambda obs, truth: _append(obs, "1,-1,0.5\n"),
+    "bad-token": lambda obs, truth: _append(obs, "1,0x,0.5\n"),
+    "step-zero": lambda obs, truth: _append(obs, "0,0,0.5\n"),
+    "step-past-end": lambda obs, truth: _append(obs, "21,0,0.5\n"),
+    "meta-no-eps": _drop_meta_key("eps"),
+    "meta-no-h": _drop_meta_key("h"),
+    "meta-no-n_steps": _drop_meta_key("n_steps"),
+    "meta-no-dim": _drop_meta_key("dim"),
+    "truth-bad-number": lambda obs, truth: _append(truth, "21," + "x," * 59 + "0\n"),
+    "truth-short": lambda obs, truth: _drop_last_line(truth),
+    "truth-empty": lambda obs, truth: open(truth, "w").write("j,v0\n"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS) + ["wrong-model"])
+def test_corrupted_observation_files_exit_one(tmp_path, capsys, corruption):
+    # 60-site data, filtered by the 60-site model or, for "wrong-model",
+    # by the 3-dim convection model
+    l96 = TINY.replace("kind = lorenz63", "kind = lorenz96\ndimension = 60")
+    sim_cfg = write(tmp_path, l96.format(out="o.csv"), name="l96.cfg")
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", sim_cfg, "--out", out]) == 0
+    obs, truth = out + "_observations.csv", out + "_truth.csv"
+    if corruption == "wrong-model":
+        filter_cfg = write(tmp_path, TINY.format(out="o.csv"))
+    else:
+        filter_cfg = sim_cfg
+        CORRUPTIONS[corruption](obs, truth)
+    capsys.readouterr()
+    argv = ["filter", "--config", filter_cfg, "--obs", obs, "--truth", truth]
+    assert cli.main(argv + ["--out", str(tmp_path / "run.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:")
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a single RK4 substep across h = 2 on the cyclic model overflows
     text = """

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaosfilter import dynamics
+from chaosfilter.spectral import navier_stokes_spectral
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +159,27 @@ def test_blowup_raises(l63):
         l63.step(huge, 1.0)
 
 
-def test_step_batch_matches_individual_steps(l96):
-    rng = np.random.default_rng(7)
-    batch = rng.standard_normal((5, 6))
-    together = l96.step_batch(batch, 0.02)
-    separate = np.stack([l96.step(row, 0.02) for row in batch])
+BATCH_MODELS = {
+    "lorenz63": dynamics.lorenz63(),
+    "lorenz96-60": dynamics.lorenz96(60),
+    "spectral-k3": navier_stokes_spectral(0.1, {(1, 0): 1.0}, 3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BATCH_MODELS)),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_batch_matches_individual_steps(name, n, seed):
+    model = BATCH_MODELS[name]
+    rng = np.random.default_rng(seed)
+    batch = 5.0 * rng.standard_normal((n, model.dim))
+    if hasattr(model, "grid"):
+        batch = batch + 5.0j * rng.standard_normal((n, model.dim))
+    together = model.step_batch(batch, 0.02)
+    separate = np.stack([model.step(row, 0.02) for row in batch])
     np.testing.assert_allclose(together, separate, rtol=0, atol=0)
 
 

@@ -88,13 +88,6 @@ def test_mse_experiment_deterministic():
         assert a.mse == b.mse and a.stderr == b.stderr
 
 
-def test_mse_experiment_thread_count_invariant():
-    r1 = harness.run_mse_experiment(tiny_config(), threads=1)
-    r4 = harness.run_mse_experiment(tiny_config(), threads=4)
-    for a, b in zip(r1.rows, r4.rows):
-        assert a.mse == b.mse and a.stderr == b.stderr
-
-
 def test_mse_experiment_seed_sensitivity_is_statistical():
     ra = harness.run_mse_experiment(tiny_config(seed=1, n_inits=6, n_noise=2))
     rb = harness.run_mse_experiment(tiny_config(seed=2, n_inits=6, n_noise=2))

@@ -149,6 +149,13 @@ def test_contractive_norm_scalar_geometric_series():
     assert V(M @ x) == pytest.approx(0.81 * V(x), rel=1e-10)
 
 
+def test_contractive_norm_near_unit_radius():
+    # rho^2 near one: a power series for S would need about 1.6e5 terms
+    S, alpha = lt.contractive_norm(0.9999 * np.eye(2))
+    np.testing.assert_allclose(S, np.eye(2) / (1.0 - 0.9999**2), rtol=1e-10)
+    assert alpha == pytest.approx(0.9999**2, rel=1e-12)
+
+
 def test_jordan_block_needs_non_euclidean_norm():
     M = np.array([[0.9, 1.0], [0.0, 0.9]])
     assert np.linalg.norm(M, 2) > 1.0  # Euclidean norm is NOT contracted

@@ -11,7 +11,10 @@ from .dynamics import (
 from .filters import (
     FilterNumericsError,
     FilterRun,
+    FixedGainObserver,
     Gain,
+    ParticleFilter,
+    ThreeDVar,
     VNorm,
     default_ball_radius,
     kalman_filter_step,

@@ -123,11 +123,11 @@ def _cmd_filter(args):
                 f"truth file has {truth.shape[0]} states, {obs.n_steps} steps need "
                 f"{obs.n_steps + 1}"
             )
-    runner = cfgmod.build_filter_runner(
+    estimator = cfgmod.build_filter_runner(
         cfg.filters[0], model, projection, noise, init_sampler
-    )
+    ).at_eps(obs.eps)
     rng = observation.substream(cfg.seed, "filter-cli")
-    run = runner(truth, obs, obs.eps, rng)
+    run = estimator.run(model, obs, rng, truth=truth)
     out = args.out or cfg.out_path
     filters.export_filter_run(run, out)
     msg = f"wrote {out} ({run.kind}, {obs.n_steps} steps)"
@@ -222,11 +222,11 @@ def _cmd_squeeze_probe(args):
     projection = cfgmod.build_projection(obs_spec, model)
     vnorm = cfgmod.default_vnorm(model, projection)
     gain = filters.Gain.identity_on_observed(projection)
-    h = float(sec.get("h", 0.01))
-    n_samples = int(sec.get("n_samples", 10000))
-    scales = [float(t) for t in sec.get("scales", "1").split()]
-    substeps = int(sec["substeps"]) if "substeps" in sec else None
-    seed = args.seed if args.seed is not None else int(sec.get("seed", 0))
+    h = cfgmod.scalar(sec, "h", float, 0.01, "squeeze")
+    n_samples = cfgmod.scalar(sec, "n_samples", int, 10000, "squeeze")
+    scales = cfgmod._floats(sec.get("scales", "1"))
+    substeps = cfgmod.scalar(sec, "substeps", int, None, "squeeze")
+    seed = args.seed if args.seed is not None else cfgmod.scalar(sec, "seed", int, 0, "squeeze")
     from .dynamics import absorbing_radius
 
     r = absorbing_radius(model)
@@ -266,9 +266,8 @@ def _cmd_ns_demo(args):
     radius = filters.default_ball_radius(model, vnorm)
     gain = filters.Gain.identity_on_observed(projection)
     z0 = np.zeros(model.dim, dtype=complex)
-    run = filters.run_observer(
-        model, projection, gain, z0, obs, vnorm=vnorm, radius=radius, truth=truth
-    )
+    observer = filters.FixedGainObserver(projection, gain, z0, vnorm=vnorm, radius=radius)
+    run = filters.run_observer(model, observer, obs, truth=truth)
     errs = run.sq_errors
     quarters = [errs[int(q * cfg.n_steps)] for q in (0.25, 0.5, 0.75, 1.0)]
     print(

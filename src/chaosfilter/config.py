@@ -37,6 +37,19 @@ def _ints(text):
     return _numbers(text, int, "integer")
 
 
+def scalar(spec, key, kind, default, section):
+    """``spec[key]`` read as one ``kind`` (int or float), ``default`` when
+    the key is absent; a bad token is a ConfigError naming section and key."""
+    if key not in spec:
+        return default
+    token = spec[key]
+    try:
+        return kind(token)
+    except (TypeError, ValueError):
+        what = "integer" if kind is int else "number"
+        raise ConfigError(f"[{section}] {key}: bad {what} {token!r}") from None
+
+
 def parse_matrix(text):
     rows = [r for r in text.split(";") if r.strip()]
     mat = [_floats(r) for r in rows]
@@ -115,23 +128,23 @@ class ExperimentConfig:
 
 def build_model(spec):
     kind = spec.get("kind")
-    substeps = int(spec.get("substeps", 0) or 0)
+    substeps = scalar(spec, "substeps", int, 0, "model") if spec.get("substeps") else 0
     if kind == "lorenz63":
         return dynamics.lorenz63(substeps=substeps or 10)
     if kind == "lorenz96":
-        dim = int(spec.get("dimension", 0))
+        dim = scalar(spec, "dimension", int, 0, "model")
         if dim <= 0:
             raise ConfigError("lorenz96 requires a positive 'dimension'")
         return dynamics.lorenz96(dim, substeps=substeps or 10)
     if kind == "navier-stokes":
-        try:
-            nu = float(spec["viscosity"])
-            k_max = int(spec["k_max"])
-        except KeyError as exc:
-            raise ConfigError(f"navier-stokes model needs {exc.args[0]!r}") from exc
-        period = float(spec.get("period", 2.0 * np.pi))
+        for key in ("viscosity", "k_max"):
+            if key not in spec:
+                raise ConfigError(f"navier-stokes model needs {key!r}")
+        nu = scalar(spec, "viscosity", float, None, "model")
+        k_max = scalar(spec, "k_max", int, None, "model")
+        period = scalar(spec, "period", float, 2.0 * np.pi, "model")
         mode = _ints(str(spec.get("forcing_mode", "1 0")))
-        amp = complex(float(spec.get("forcing_amplitude", 1.0)))
+        amp = complex(scalar(spec, "forcing_amplitude", float, 1.0, "model"))
         return spectral.navier_stokes_spectral(
             nu, {tuple(mode): amp}, k_max, period=period, substeps=substeps or 5
         )
@@ -156,7 +169,7 @@ def build_projection(spec, model):
     if kind == "fourier-cutoff":
         if not hasattr(model, "grid"):
             raise ConfigError("fourier-cutoff applies to spectral models only")
-        lam = float(spec.get("lam", 0.0))
+        lam = scalar(spec, "lam", float, 0.0, "observation")
         try:
             return observation.fourier_cutoff(model.grid, lam)
         except ValueError as exc:
@@ -184,8 +197,8 @@ def build_noise(spec, projection):
 
 def build_init_sampler(model_spec, model):
     if hasattr(model, "grid"):
-        amp = float(model_spec.get("init_amplitude", 1.0))
-        decay = float(model_spec.get("init_decay", 2.0))
+        amp = scalar(model_spec, "init_amplitude", float, 1.0, "model")
+        decay = scalar(model_spec, "init_decay", float, 2.0, "model")
         return observation.spectral_smooth_init(model.grid, amplitude=amp, decay=decay)
     return observation.standard_normal_init(model.dim)
 
@@ -206,9 +219,18 @@ def noise_gamma(noise, projection):
 
 
 def build_filter_runner(spec, model, projection, noise, init_sampler):
-    """Compile a filter spec into a trial runner (truth, obs, eps, rng) -> FilterRun."""
+    """Compile a filter spec into its estimator.
+
+    Every estimator has ``at_eps(eps)``, the estimator used at noise
+    strength eps. For the fixed-gain kinds (observer, truncated observer,
+    3DVAR) that is a :class:`filters.FixedGainObserver`, whose
+    ``init(n_rows)`` and ``assimilate(FZ, Y)`` advance a batch of rows; a
+    3DVAR spec builds its gain there, once per eps. The particle filter
+    runs one observation sequence at a time (``run``).
+    """
     kind = spec.get("kind")
     name = spec.get("name", kind)
+    section = f"filter:{name}"
 
     if kind in ("observer", "truncated-observer"):
         gain_kind = spec.get("gain", "identity")
@@ -221,53 +243,28 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
         vnorm = radius = None
         if kind == "truncated-observer":
             vnorm = default_vnorm(model, projection)
-            radius = filters.default_ball_radius(model, vnorm) * float(
-                spec.get("radius_scale", 1.0)
+            radius = filters.default_ball_radius(model, vnorm) * scalar(
+                spec, "radius_scale", float, 1.0, section
             )
         z0 = np.zeros(model.dim, dtype=complex if hasattr(model, "grid") else float)
-
-        def runner(truth, obs, eps, rng):
-            return filters.run_observer(
-                model, projection, gain, z0, obs, vnorm=vnorm, radius=radius, truth=truth
-            )
-
-        return runner
+        return filters.FixedGainObserver(projection, gain, z0, vnorm=vnorm, radius=radius)
 
     if kind == "3dvar":
-        sigma2 = float(spec.get("sigma2", 1.0))
+        sigma2 = scalar(spec, "sigma2", float, 1.0, section)
         gamma = noise_gamma(noise, projection)
-        model_cov = sigma2 * np.eye(model.dim)
-        z0 = np.zeros(model.dim)
-
-        def runner(truth, obs, eps, rng):
-            gain = filters.kalman_gain_3dvar(model_cov, projection, gamma, eps)
-            return filters.run_observer(
-                model, projection, gain, z0, obs, truth=truth
-            )
-
-        return runner
+        return filters.ThreeDVar(
+            sigma2 * np.eye(model.dim), projection, gamma, np.zeros(model.dim)
+        )
 
     if kind == "particle":
-        n_particles = int(spec.get("n_particles", 1000))
-        threshold = float(spec.get("resample_threshold", 0.5))
-        jitter = float(spec.get("jitter", 0.0))
-
-        def runner(truth, obs, eps, rng):
-            return filters.particle_filter(
-                model,
-                projection,
-                noise,
-                eps,
-                n_particles,
-                init_sampler,
-                obs,
-                rng,
-                resample_threshold=threshold,
-                jitter=jitter,
-                truth=truth,
-            )
-
-        return runner
+        return filters.ParticleFilter(
+            projection,
+            noise,
+            scalar(spec, "n_particles", int, 1000, section),
+            init_sampler,
+            resample_threshold=scalar(spec, "resample_threshold", float, 0.5, section),
+            jitter=scalar(spec, "jitter", float, 0.0, section),
+        )
 
     raise ConfigError(f"unknown filter kind {kind!r}")
 

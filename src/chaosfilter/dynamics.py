@@ -17,7 +17,28 @@ from . import _kernels
 
 
 class BlowUpError(RuntimeError):
-    """A trajectory left the range of float64: the run is aborted, never clipped."""
+    """A trajectory left the range of float64: the run is aborted, never clipped.
+
+    ``states`` holds the whole stepped batch and ``bad`` the boolean mask of
+    its rows with a non-finite entry, so a caller stepping independent rows
+    can drop those and carry on with the rest.
+    """
+
+    def __init__(self, message, states=None, bad=None):
+        super().__init__(message)
+        self.states = states
+        self.bad = bad
+
+
+def check_finite(name, h, out):
+    """Return the stepped batch ``out``, or raise BlowUpError naming its
+    non-finite rows."""
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise BlowUpError(
+            f"model {name!r}: non-finite state after step of h={h}", out, bad
+        )
+    return out
 
 
 def _as_batch(u):
@@ -86,7 +107,10 @@ class DissipativeModel:
         return out
 
     def step_batch(self, states, h, substeps=None):
-        """Advance a batch of states (n, d) by one assimilation interval."""
+        """Advance a batch of states (n, d) by one assimilation interval.
+
+        Rows are independent: a row that leaves float range raises
+        BlowUpError carrying the whole stepped batch and the bad-row mask."""
         batch, _ = _as_batch(states)
         nsub = self.substeps if substeps is None else int(substeps)
         if h <= 0:
@@ -96,11 +120,7 @@ class DissipativeModel:
             out = self._stepper(batch, nsub, dt)
         else:
             out = self._generic_step(batch, nsub, dt)
-        if not np.isfinite(out).all():
-            raise BlowUpError(
-                f"model {self.name!r}: non-finite state after step of h={h}"
-            )
-        return out
+        return check_finite(self.name, h, out)
 
     def step(self, u, h, substeps=None):
         """Advance a single state by one assimilation interval of length h."""

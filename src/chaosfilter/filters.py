@@ -62,6 +62,12 @@ class VNorm:
             return float(np.real(x @ self.matrix @ x))
         return float(np.sum(self.weights * np.abs(x) ** 2))
 
+    def row_values(self, X):
+        """V of each row of a (n, dim) batch, bit for bit ``value`` of that row."""
+        if self.matrix is not None:
+            return np.array([self.value(x) for x in X])
+        return np.sum(self.weights * np.abs(X) ** 2, axis=1)
+
     def norm(self, x):
         return float(np.sqrt(self.value(x)))
 
@@ -72,13 +78,24 @@ class VNorm:
 
 
 def project_ball_V(vnorm: VNorm, radius, x):
-    """Closest point of the ball {V(u)^(1/2) <= radius} in the V norm."""
+    """Closest point of the ball {V(u)^(1/2) <= radius} in the V norm.
+
+    A (n, dim) batch is projected row by row: only the rows whose V norm
+    exceeds the radius are rescaled."""
     if radius <= 0:
         raise ValueError("ball radius must be positive")
-    size = vnorm.norm(x)
-    if size <= radius:
-        return np.asarray(x).copy()
-    return np.asarray(x) * (radius / size)
+    x = np.asarray(x)
+    if x.ndim == 1:
+        size = vnorm.norm(x)
+        if size <= radius:
+            return x.copy()
+        return x * (radius / size)
+    sizes = np.sqrt(vnorm.row_values(x))
+    out = x.copy()
+    outside = ~(sizes <= radius)
+    if outside.any():
+        out[outside] = x[outside] * (radius / sizes[outside])[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +123,15 @@ class Gain:
         return cls(kind, matrix=np.asarray(matrix, dtype=float))
 
     def apply(self, x):
+        """D x for a state, or for each row of a (n, dim) batch."""
         if self.kind == "identity-on-observed":
             return self.projection.apply(x)
         if self.kind == "zero":
             return np.zeros_like(x)
+        if np.ndim(x) == 2:
+            # one matrix-vector product per row: a matrix-matrix product
+            # may sum in another order and change the last bits
+            return np.array([self._matrix @ row for row in x]).reshape(np.shape(x))
         return self._matrix @ x
 
 
@@ -123,16 +145,60 @@ def _check_observation(projection, y):
         raise ValueError("observation has energy outside the observed subspace")
 
 
+class FixedGainObserver:
+    """Fixed-gain observer ``z' = (I - D P) Psi(z) + D y`` over a batch of
+    rows, optionally followed by the metric projection onto a V-ball.
+
+    The forecast ``Psi(z)`` is the caller's: ``assimilate`` takes forecast
+    rows and their observations, so that one model step can advance the
+    rows of many estimators, and the truth, together. Every row is updated
+    with the same arithmetic as a single state.
+    """
+
+    def __init__(self, projection, gain, z0, vnorm: Optional[VNorm] = None, radius=None):
+        if vnorm is not None and radius is None:
+            raise ValueError("a truncated observer needs a ball radius")
+        self.projection = projection
+        self.gain = gain
+        self.z0 = np.asarray(z0)
+        self.vnorm = vnorm
+        self.radius = radius
+        self.kind = "observer" if vnorm is None else "truncated-observer"
+
+    def at_eps(self, eps):
+        """The estimator used at noise strength eps: this one, its gain is fixed."""
+        return self
+
+    def init(self, n_rows):
+        """Initial estimates of ``n_rows`` rows, shape (n_rows, dim)."""
+        return np.repeat(self.z0[None], n_rows, axis=0)
+
+    def assimilate(self, FZ, Y):
+        """Analysis rows from forecast rows ``FZ`` and observation rows ``Y``."""
+        _check_observation(self.projection, Y)
+        Z = FZ - self.gain.apply(self.projection.apply(FZ)) + self.gain.apply(Y)
+        if self.vnorm is not None:
+            Z = project_ball_V(self.vnorm, self.radius, Z)
+        return Z
+
+    def run(self, model, observations, rng=None, truth=None):
+        """Filter one observation sequence (``rng`` is unused)."""
+        return run_observer(model, self, observations, truth=truth)
+
+
+def _step_one(observer, model, z, y_next, h):
+    return observer.assimilate(model.step(z, h)[None], np.asarray(y_next)[None])[0]
+
+
 def observer_step(model, projection, gain, z, y_next, h):
-    """One fixed-gain update z' = (I - D P) Psi(z) + D y."""
-    _check_observation(projection, y_next)
-    fz = model.step(z, h)
-    return fz - gain.apply(projection.apply(fz)) + gain.apply(y_next)
+    """One fixed-gain update z' = (I - D P) Psi(z) + D y of a single state."""
+    return _step_one(FixedGainObserver(projection, gain, z), model, z, y_next, h)
 
 
 def truncated_observer_step(model, projection, gain, vnorm, radius, m, y_next, h):
     """Observer update followed by metric projection onto the V-ball."""
-    return project_ball_V(vnorm, radius, observer_step(model, projection, gain, m, y_next, h))
+    observer = FixedGainObserver(projection, gain, m, vnorm=vnorm, radius=radius)
+    return _step_one(observer, model, m, y_next, h)
 
 
 def default_ball_radius(model, vnorm=None) -> float:
@@ -168,46 +234,30 @@ class FilterRun:
         return None if self.sq_errors is None else float(self.sq_errors[-1])
 
 
-def _sq_norm(model, x):
+def squared_norms(model, x):
+    """Squared norm of a state, or of each row of a (n, dim) batch: the
+    Sobolev norm for spectral models, the Euclidean one otherwise."""
     if hasattr(model, "grid"):
         return model.grid.h1_norm2(x)
     x = np.asarray(x)
-    return float(np.real(np.sum(x * np.conj(x))))
+    return np.real(np.sum(x * np.conj(x), axis=-1))
 
 
-def run_observer(
-    model,
-    projection,
-    gain,
-    z0,
-    observations,
-    vnorm: Optional[VNorm] = None,
-    radius=None,
-    truth=None,
-) -> FilterRun:
-    """Drive the (possibly truncated) observer through an observation sequence."""
-    truncate = vnorm is not None
-    if truncate and radius is None:
-        radius = default_ball_radius(model, vnorm)
-    z = np.asarray(z0).copy()
+def run_observer(model, observer: FixedGainObserver, observations, truth=None) -> FilterRun:
+    """Drive a fixed-gain observer through an observation sequence: the
+    row-batched estimator at one row, forecast one model step at a time."""
     J = observations.n_steps
-    h = observations.h
-    estimates = np.empty((J + 1,) + z.shape, dtype=z.dtype)
-    estimates[0] = z
+    z = observer.init(1)
+    estimates = np.empty((J + 1,) + z.shape[1:], dtype=z.dtype)
+    estimates[0] = z[0]
     for j in range(J):
-        if truncate:
-            z = truncated_observer_step(
-                model, projection, gain, vnorm, radius, z, observations.ys[j], h
-            )
-        else:
-            z = observer_step(model, projection, gain, z, observations.ys[j], h)
-        estimates[j + 1] = z
-    kind = "truncated-observer" if truncate else "observer"
-    run = FilterRun(kind=kind, estimates=estimates)
-    if truth is not None:
-        run.sq_errors = np.array(
-            [_sq_norm(model, truth[j] - estimates[j]) for j in range(J + 1)]
+        z = observer.assimilate(
+            model.step_batch(z, observations.h), observations.ys[j : j + 1]
         )
+        estimates[j + 1] = z[0]
+    run = FilterRun(kind=observer.kind, estimates=estimates)
+    if truth is not None:
+        run.sq_errors = squared_norms(model, truth[: J + 1] - estimates)
     return run
 
 
@@ -237,6 +287,22 @@ def kalman_gain_3dvar(model_cov, projection, gamma, eps) -> Gain:
     K = np.zeros((d, d))
     K[:, projection.observed] = sol
     return Gain.from_matrix(K, kind="kalman-gain")
+
+
+class ThreeDVar:
+    """3DVAR: the fixed-gain observer whose gain
+    K = C P^T (P C P^T + eps^2 Gamma)^-1 depends on the noise strength."""
+
+    def __init__(self, model_cov, projection, gamma, z0):
+        self.model_cov = np.asarray(model_cov, dtype=float)
+        self.projection = projection
+        self.gamma = gamma
+        self.z0 = np.asarray(z0)
+
+    def at_eps(self, eps) -> FixedGainObserver:
+        """The observer with the gain of noise strength eps (one gain build)."""
+        gain = kalman_gain_3dvar(self.model_cov, self.projection, self.gamma, eps)
+        return FixedGainObserver(self.projection, gain, self.z0)
 
 
 def kalman_filter_step(L, projection, gamma, eps, mean, cov, y_next):
@@ -367,10 +433,44 @@ def particle_filter(
         degenerate_at=degenerate_at,
     )
     if truth is not None:
-        run.sq_errors = np.array(
-            [_sq_norm(model, truth[j] - means[j]) for j in range(J + 1)]
-        )
+        run.sq_errors = squared_norms(model, truth[: J + 1] - means)
     return run
+
+
+class ParticleFilter:
+    """Settings of the bootstrap particle filter. It runs one observation
+    sequence at a time, on the random stream it is given (see
+    :func:`particle_filter`)."""
+
+    def __init__(self, projection, noise, n_particles, init_sampler,
+                 resample_threshold=0.5, jitter=0.0):
+        self.projection = projection
+        self.noise = noise
+        self.n_particles = n_particles
+        self.init_sampler = init_sampler
+        self.resample_threshold = resample_threshold
+        self.jitter = jitter
+
+    def at_eps(self, eps):
+        """The estimator used at noise strength eps: this one, which reads
+        eps from the observations it runs on."""
+        return self
+
+    def run(self, model, observations, rng, truth=None) -> FilterRun:
+        """Filter one observation sequence."""
+        return particle_filter(
+            model,
+            self.projection,
+            self.noise,
+            observations.eps,
+            self.n_particles,
+            self.init_sampler,
+            observations,
+            rng,
+            resample_threshold=self.resample_threshold,
+            jitter=self.jitter,
+            truth=truth,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 The central protocol: draw ``n_inits`` signal starts, pair each with
 ``n_noise`` observation noise realizations, filter every combination at
 every noise strength, and aggregate the squared estimation error at final
-time. Trials run one after another in a single thread. All randomness
-flows through named substreams of one master seed, so reports are
-byte-stable under any trial order.
+time. Every (filter, eps, trial) row of a fixed-gain filter advances in
+one batch with the truth, in a single thread. All randomness flows
+through named substreams of one master seed, so reports are byte-stable
+under any trial order and any batch.
 """
 
 import csv
 from dataclasses import dataclass, field
 import numpy as np
 
+from . import filters
 from .dynamics import BlowUpError
 from .observation import ObservationSequence, substream
 
@@ -47,9 +49,6 @@ def fit_scaling_exponent(points):
 # ---------------------------------------------------------------------------
 # MSE experiment
 
-TRIAL_EXCLUDED = "excluded"
-
-
 @dataclass
 class MseRow:
     filter_name: str
@@ -81,8 +80,103 @@ def _final_error(run, mode, n_steps):
     return float(run.sq_errors[-1])
 
 
+def _segments(row_est):
+    """(start, stop) of each run of consecutive rows sharing an estimator."""
+    if row_est.size == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(row_est)) + 1
+    bounds = np.concatenate(([0], cuts, [row_est.size]))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_fixed_gain_rows(model, projection, h, starts, noise_blocks, n_noise, groups,
+                         averaged, errors, excluded, truths=None):
+    """Advance the truth of every signal start and every fixed-gain row.
+
+    A row is one (group, trial) pair of a group whose estimator is a
+    FixedGainObserver. Truth and rows step together, in one ``step_batch``
+    call per step; each run of rows sharing an estimator is analysed in
+    one ``assimilate`` call. Fills the rows' final (or time-averaged)
+    squared errors into ``errors`` and their exclusions into ``excluded``,
+    writes the truth into ``truths`` when given, and returns the indices
+    of the signal starts whose truth stayed finite.
+    """
+    n_inits = starts.shape[0]
+    n_trials, n_steps = noise_blocks.shape[:2]
+    estimators = [est for _, _, est in groups]
+    est_index = np.array([estimators.index(est) for est in estimators])
+    group_eps = np.array([eps for _, eps, _ in groups], dtype=float)
+    batched = [
+        g for g, est in enumerate(estimators) if isinstance(est, filters.FixedGainObserver)
+    ]
+
+    # state rows: the live signal starts, then the live filter rows
+    alive = np.arange(n_inits)
+    truth_row = np.arange(n_inits)  # row of each start in `state`, -1 once blown up
+    row_group = np.repeat(batched, n_trials).astype(int)
+    row_trial = np.tile(np.arange(n_trials), len(batched))
+    state = np.concatenate([starts] + [estimators[g].init(n_trials) for g in batched])
+    segments = _segments(est_index[row_group])
+    tail_start = n_steps // 2
+    if averaged:
+        # row-major, so that each row's mean sums in the order np.mean of
+        # that row alone does
+        tail = np.zeros((len(groups), n_trials, n_steps + 1 - tail_start))
+
+    def sq_errors():
+        truth = state[truth_row[row_trial // n_noise]]
+        return filters.squared_norms(model, truth - state[alive.size :])
+
+    if averaged and tail_start == 0:
+        tail[row_group, row_trial, 0] = sq_errors()
+    for j in range(n_steps):
+        if state.shape[0] == 0:
+            break
+        try:
+            state = model.step_batch(state, h)
+        except BlowUpError as exc:
+            bad_truth, bad_rows = exc.bad[: alive.size], exc.bad[alive.size :]
+            blown = alive[bad_truth]
+            excluded[:, np.isin(np.arange(n_trials) // n_noise, blown)] = True
+            drop = bad_rows | np.isin(row_trial // n_noise, blown)
+            excluded[row_group[drop], row_trial[drop]] = True
+            state = exc.states[np.concatenate([~bad_truth, ~drop])]
+            alive = alive[~bad_truth]
+            truth_row = np.full(n_inits, -1)
+            truth_row[alive] = np.arange(alive.size)
+            row_group, row_trial = row_group[~drop], row_trial[~drop]
+            segments = _segments(est_index[row_group])
+        truth, forecast = state[: alive.size], state[alive.size :]
+        if truths is not None:
+            truths[alive, j + 1] = truth
+        ys = (
+            projection.apply(truth)[truth_row[row_trial // n_noise]]
+            + group_eps[row_group][:, None] * noise_blocks[row_trial, j]
+        )
+        for a, b in segments:
+            analysis = estimators[row_group[a]].assimilate(forecast[a:b], ys[a:b])
+            state[alive.size + a : alive.size + b] = analysis
+        if averaged and j + 1 >= tail_start:
+            tail[row_group, row_trial, j + 1 - tail_start] = sq_errors()
+    if averaged:
+        errors[row_group, row_trial] = tail[row_group, row_trial].mean(axis=1)
+    elif row_group.size:
+        errors[row_group, row_trial] = sq_errors()
+    return alive
+
+
 def run_mse_experiment(config) -> MseReport:
-    """Execute the full protocol described by an ExperimentConfig."""
+    """Execute the full protocol described by an ExperimentConfig.
+
+    Trials are (signal start, noise realization) pairs. The fixed-gain
+    filters (observer, truncated observer, 3DVAR) run as (filter, eps,
+    trial) rows that advance together with the truth, one batch per step
+    (see ``_run_fixed_gain_rows``); the per-row arithmetic is that of a
+    single state, so the numbers do not depend on the batch. Particle
+    filters then run one trial at a time on the stored truth. A truth that
+    leaves float range excludes every filter of its trials; a filter row
+    that does, or a particle run that degenerates, excludes only itself.
+    """
     from . import config as cfgmod
 
     model = cfgmod.build_model(config.model)
@@ -93,65 +187,71 @@ def run_mse_experiment(config) -> MseReport:
         cfgmod.build_filter_runner(spec, model, projection, noise, init_sampler)
         for spec in config.filters
     ]
-    n_steps = config.n_steps
-    trial_ids = [(i, k) for i in range(config.n_inits) for k in range(config.n_noise)]
+    seed, h, n_steps, n_noise = config.seed, config.h, config.n_steps, config.n_noise
+    n_trials = config.n_inits * n_noise  # trial t pairs start t // n_noise with noise t % n_noise
+    # one group per (filter, eps), in report order
+    groups = [
+        (spec["name"], eps, runner.at_eps(eps))
+        for spec, runner in zip(config.filters, runners)
+        for eps in config.epsilons
+    ]
+    per_trial = [
+        g for g, (_, _, est) in enumerate(groups)
+        if not isinstance(est, filters.FixedGainObserver)
+    ]
+    errors = np.zeros((len(groups), n_trials))
+    excluded = np.zeros((len(groups), n_trials), dtype=bool)
 
-    def one_trial(task):
-        i, k = task
-        v0 = init_sampler(substream(config.seed, "init", i))
-        truth = np.empty((n_steps + 1,) + v0.shape, dtype=v0.dtype)
-        truth[0] = v0
-        v = v0
-        try:
-            for j in range(n_steps):
-                v = model.step(v, config.h)
-                truth[j + 1] = v
-        except BlowUpError:
-            return {
-                (spec["name"], eps): TRIAL_EXCLUDED
-                for spec in config.filters
-                for eps in config.epsilons
-            }
-        g_noise = substream(config.seed, "noise", i, k)
-        w_seq = np.stack([noise.sample(g_noise) for _ in range(n_steps)])
-        observed_truth = np.stack([projection.apply(truth[j + 1]) for j in range(n_steps)])
-        out = {}
-        for eps in config.epsilons:
-            obs = ObservationSequence(
-                eps=eps, h=config.h, ys=observed_truth + eps * w_seq
-            )
-            for spec, runner in zip(config.filters, runners):
-                rng = substream(
-                    config.seed, "filter", spec["name"], i, k, _fmt(eps)
-                )
-                try:
-                    run = runner(truth, obs, eps, rng)
-                    if run.degenerate_at is not None:
-                        out[(spec["name"], eps)] = TRIAL_EXCLUDED
-                    else:
-                        out[(spec["name"], eps)] = _final_error(
-                            run, config.mse_mode, n_steps
-                        )
-                except (BlowUpError, FloatingPointError):
-                    out[(spec["name"], eps)] = TRIAL_EXCLUDED
-        return out
+    starts = np.stack(
+        [init_sampler(substream(seed, "init", i)) for i in range(config.n_inits)]
+    )
+    noise_blocks = np.empty((n_trials, n_steps) + starts.shape[1:], dtype=starts.dtype)
+    for t in range(n_trials):
+        rng = substream(seed, "noise", t // n_noise, t % n_noise)
+        noise_blocks[t] = noise.sample(rng, n_steps)
+    truths = None
+    if per_trial:
+        truths = np.empty((config.n_inits, n_steps + 1) + starts.shape[1:], dtype=starts.dtype)
+        truths[:, 0] = starts
+    alive = _run_fixed_gain_rows(
+        model, projection, h, starts, noise_blocks, n_noise, groups,
+        config.mse_mode == "time-averaged", errors, excluded, truths,
+    )
 
-    results = [one_trial(t) for t in trial_ids]
+    for t in range(n_trials):
+        i, k = divmod(t, n_noise)
+        if not per_trial or i not in alive:
+            continue
+        observed = projection.apply(truths[i, 1:])
+        for g in per_trial:
+            name, eps, est = groups[g]
+            obs = ObservationSequence(eps=eps, h=h, ys=observed + eps * noise_blocks[t])
+            rng = substream(seed, "filter", name, i, k, _fmt(eps))
+            try:
+                run = est.run(model, obs, rng, truth=truths[i])
+            except BlowUpError:
+                excluded[g, t] = True
+                continue
+            if run.degenerate_at is not None:
+                excluded[g, t] = True
+            else:
+                errors[g, t] = _final_error(run, config.mse_mode, n_steps)
 
     rows = []
     slopes = {}
-    for spec in config.filters:
+    n_eps = len(config.epsilons)
+    for f, spec in enumerate(config.filters):
         fit_points = []
-        for eps in config.epsilons:
-            errs = [res[(spec["name"], eps)] for res in results]
-            used = [e for e in errs if e is not TRIAL_EXCLUDED]
-            excluded = len(errs) - len(used)
-            arr = np.array(used, dtype=float)
+        for e, eps in enumerate(config.epsilons):
+            g = f * n_eps + e
+            arr = errors[g][~excluded[g]]
             mse = float(arr.mean()) if arr.size else float("nan")
             stderr = (
                 float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
             )
-            rows.append(MseRow(spec["name"], eps, mse, stderr, arr.size, excluded))
+            rows.append(
+                MseRow(spec["name"], eps, mse, stderr, arr.size, int(excluded[g].sum()))
+            )
             if eps > 0 and arr.size and mse > 0:
                 fit_points.append((eps, mse))
         if len(fit_points) >= 3:

@@ -131,12 +131,16 @@ class GaussianObservedNoise:
         var = 1.0 if per_coordinate else 1.0 / projection.n_observed
         self.std = float(np.sqrt(var))
 
-    def sample(self, rng):
-        w = np.zeros(self.projection.dim)
-        w[self.projection.observed] = self.std * rng.standard_normal(
-            self.projection.n_observed
-        )
-        return w
+    def sample(self, rng, size=None):
+        """One noise vector, or with a size a (size, dim) block of them.
+
+        The block takes the same draws, in the same order, as ``size``
+        single calls."""
+        n = 1 if size is None else size
+        m = self.projection.n_observed
+        w = np.zeros((n, self.projection.dim))
+        w[:, self.projection.observed] = self.std * rng.standard_normal(n * m).reshape(n, m)
+        return w[0] if size is None else w
 
     def log_density(self, resid, eps):
         """Log density of observed residuals at noise level eps; batch-aware.
@@ -165,14 +169,18 @@ class SpectralModeNoise:
         k2 = grid.k2_reps[projection.observed]
         self.mode_var = 1.0 / (k2 * projection.n_retained)
 
-    def sample(self, rng):
+    def sample(self, rng, size=None):
+        """One noise field, or with a size a (size, dim) block of them.
+
+        Each field draws its real parts, then its imaginary parts, so the
+        block draws shape (size, 2, m) to keep the order of single calls."""
         p = self.projection
-        w = np.zeros(p.dim, dtype=np.complex128)
+        n = 1 if size is None else size
+        w = np.zeros((n, p.dim), dtype=np.complex128)
         half = np.sqrt(self.mode_var / 2.0)
-        re = rng.standard_normal(p.n_observed)
-        im = rng.standard_normal(p.n_observed)
-        w[p.observed] = half * (re + 1j * im)
-        return w
+        draws = rng.standard_normal((n, 2, p.n_observed))
+        w[:, p.observed] = half * (draws[:, 0] + 1j * draws[:, 1])
+        return w[0] if size is None else w
 
     def log_density(self, resid, eps):
         resid = np.atleast_2d(np.asarray(resid, dtype=np.complex128))

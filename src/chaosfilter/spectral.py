@@ -13,7 +13,7 @@ stiff viscous part is handled exactly.
 import numpy as np
 
 from . import _kernels
-from .dynamics import BlowUpError
+from .dynamics import check_finite
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,8 +89,9 @@ class SpectralGrid:
         return self._lookup[tuple(int(v) for v in n)]
 
     def h1_norm2(self, reps_coeffs):
-        """Squared Sobolev norm sum_k |k|^2 |v_k|^2 over the full lattice."""
-        return 2.0 * float(np.sum(self.k2_reps * np.abs(reps_coeffs) ** 2))
+        """Squared Sobolev norm sum_k |k|^2 |v_k|^2 over the full lattice,
+        of a state or of each row of a (n, n_reps) batch."""
+        return 2.0 * np.sum(self.k2_reps * np.abs(reps_coeffs) ** 2, axis=-1)
 
     def velocity_coeffs(self, reps_coeffs):
         """Full-lattice vector coefficients v_k = v'_k k_perp/|k|, shape (n_full, 2)."""
@@ -157,8 +158,7 @@ class SpectralNSModel:
         uf = self.grid.expand(u_reps)
         return self.forcing - self._conv_full(uf, uf)
 
-    def step(self, u, h, substeps=None):
-        """One assimilation interval via integrating-factor RK4."""
+    def _advance(self, u, h, substeps):
         if h <= 0:
             raise ValueError("assimilation interval h must be positive")
         u = np.asarray(u, dtype=np.complex128).copy()
@@ -175,15 +175,18 @@ class SpectralNSModel:
             uc = decay2 * u + dt * decay * gb
             gc = self._nonlinear(uc)
             u = decay2 * u + (dt / 6.0) * (decay2 * g0 + 2.0 * decay * (ga + gb) + gc)
-        if not np.isfinite(u).all():
-            raise BlowUpError(
-                f"model {self.name!r}: non-finite state after step of h={h}"
-            )
         return u
 
+    def step(self, u, h, substeps=None):
+        """One assimilation interval via integrating-factor RK4."""
+        return check_finite(self.name, h, self._advance(u, h, substeps)[None])[0]
+
     def step_batch(self, states, h, substeps=None):
+        """Advance a batch of states (n, dim) row by row; the blow-up check
+        runs over the stacked rows, so BlowUpError names every bad row."""
         states = np.asarray(states, dtype=np.complex128)
-        return np.stack([self.step(s, h, substeps=substeps) for s in states])
+        out = np.stack([self._advance(s, h, substeps) for s in states])
+        return check_finite(self.name, h, out)
 
     def __repr__(self):
         return f"SpectralNSModel(k_max={self.grid.k_max}, nu={self.nu})"

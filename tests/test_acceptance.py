@@ -322,20 +322,22 @@ def test_criterion_8_absorbing_ball():
         t_bound = float(np.log((100.0 * r**2 - model.r0) / (r**2 - model.r0)))
         steps = int(np.ceil(2.0 * t_bound / h))
         rng = observation.substream(88, "ball", model.name)
-        latest_entry = 0.0
-        for _ in range(100):
-            v = rng.standard_normal(model.dim)
-            v *= 10.0 * r / np.linalg.norm(v)
-            entered = None
-            for j in range(1, steps + 1):
-                v = model.step(v, h)
-                inside = np.linalg.norm(v) <= r
-                if entered is None and inside:
-                    entered = j * h
-                elif entered is not None:
-                    assert inside, f"{model.name}: left the ball at t={j * h}"
-            assert entered is not None and entered <= t_bound + h
-            latest_entry = max(latest_entry, entered)
+        # the 100 starts, drawn as one block, stepped as one batch
+        v = rng.standard_normal((100, model.dim))
+        v *= np.array([10.0 * r / np.linalg.norm(row) for row in v])[:, None]
+        entered = np.full(100, np.nan)
+        for j in range(1, steps + 1):
+            v = model.step_batch(v, h)
+            inside = np.linalg.norm(v, axis=1) <= r
+            left = ~np.isnan(entered) & ~inside
+            assert not left.any(), (
+                f"{model.name}: starts {np.flatnonzero(left).tolist()} left the ball "
+                f"at t={j * h}"
+            )
+            entered[np.isnan(entered) & inside] = j * h
+        assert not np.isnan(entered).any()
+        assert (entered <= t_bound + h).all()
+        latest_entry = float(entered.max())
         _report(
             f"CRITERION 8 [PASS]: {model.name}: 100 starts at 10x radius enter "
             f"by t={latest_entry:.2f} (bound {t_bound:.2f}) and stay"

@@ -141,6 +141,21 @@ def test_missing_observation_file_exits_one(tmp_path, capsys):
     assert "not found" in err
 
 
+SQUEEZE_TINY = """
+[model]
+kind = lorenz63
+
+[observation]
+kind = coordinate-mask
+observed = 0
+
+[squeeze]
+h = 0.01
+n_samples = 50
+scales = 0.05
+seed = 5
+"""
+
 DETECT = """
 [linear]
 L = {L}
@@ -157,15 +172,88 @@ L = {L}
         ("detect", DETECT.format(L="1 0; 0 1", extra="observed = 0\nbudget = many")),
         ("detect", DETECT.format(L="1 0; 0 1", extra="P = 1 0 0")),
         ("mse-table", TINY.replace("observed = 0", "observed = 0 x").format(out="o.csv")),
+        ("squeeze-probe", SQUEEZE_TINY.replace("scales = 0.05", "scales = 0.05 half")),
     ],
     ids=["L-token", "L-not-square", "observed-token", "budget-token", "P-columns",
-         "mse-observed-token"],
+         "mse-observed-token", "squeeze-scales-token"],
 )
 def test_bad_config_numbers_exit_one(tmp_path, capsys, command, body):
     cfg = write(tmp_path, body)
     assert cli.main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("chaosfilter: config error:")
+    assert "Traceback" not in err
+
+
+NS_EXPERIMENT = """
+[model]
+kind = navier-stokes
+viscosity = 0.5
+k_max = 3
+substeps = 4
+
+[observation]
+kind = fourier-cutoff
+lam = 2
+
+[noise]
+kind = spectral-mode
+
+[filter:trunc]
+kind = truncated-observer
+
+[experiment]
+epsilons = 0.1
+h = 0.01
+T = 0.02
+n_inits = 1
+n_noise = 1
+seed = 7
+"""
+
+PARTICLE = "[filter:pf]\nkind = particle\nn_particles = 20"
+
+# key -> (subcommand, config template, text replaced, replacement)
+BAD_SCALARS = {
+    "substeps": ("mse-table", TINY, "kind = lorenz63", "kind = lorenz63\nsubsteps = ten"),
+    "dimension": ("mse-table", TINY, "kind = lorenz63", "kind = lorenz96\ndimension = sixty"),
+    "k_max": ("mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = three"),
+    "viscosity": ("mse-table", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = thick"),
+    "period": ("mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nperiod = long"),
+    "forcing_amplitude": (
+        "mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nforcing_amplitude = big"
+    ),
+    "init_amplitude": ("mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\ninit_amplitude = x"),
+    "init_decay": ("mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\ninit_decay = 2x"),
+    "lam": ("mse-table", NS_EXPERIMENT, "lam = 2", "lam = two"),
+    "radius_scale": (
+        "mse-table", TINY, "kind = truncated-observer",
+        "kind = truncated-observer\nradius_scale = wide",
+    ),
+    "sigma2": ("mse-table", TINY, "kind = truncated-observer", "kind = 3dvar\nsigma2 = one"),
+    "n_particles": ("mse-table", TINY, "[filter:trunc]", PARTICLE + "0x\n\n[filter:trunc]"),
+    "resample_threshold": (
+        "mse-table", TINY, "[filter:trunc]",
+        PARTICLE + "\nresample_threshold = half\n\n[filter:trunc]",
+    ),
+    "jitter": ("mse-table", TINY, "[filter:trunc]", PARTICLE + "\njitter = some\n\n[filter:trunc]"),
+    "h": ("squeeze-probe", SQUEEZE_TINY, "h = 0.01", "h = fast"),
+    "n_samples": ("squeeze-probe", SQUEEZE_TINY, "n_samples = 50", "n_samples = 5e1"),
+    "seed": ("squeeze-probe", SQUEEZE_TINY, "seed = 5", "seed = five"),
+    "squeeze-substeps": ("squeeze-probe", SQUEEZE_TINY, "seed = 5", "seed = 5\nsubsteps = 1.5"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_SCALARS))
+def test_bad_scalar_config_values_exit_one(tmp_path, capsys, key):
+    command, template, old, new = BAD_SCALARS[key]
+    assert old in template
+    cfg = write(tmp_path, template.replace(old, new).format(out=str(tmp_path / "o.csv")))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:")
+    token = new.rsplit(" = ", 1)[1].split("\n")[0]
+    assert f"{key.split('-')[-1]}: bad" in err and repr(token) in err
     assert "Traceback" not in err
 
 

@@ -448,11 +448,11 @@ def test_estimates_are_observation_measurable():
     other_truth = truth + 123.0  # replay against an unrelated truth
     runs = []
     for t in (truth, other_truth):
-        run = filters.run_observer(
-            dynamics.lorenz63(), P, D, np.zeros(3), obs,
+        observer = filters.FixedGainObserver(
+            P, D, np.zeros(3),
             vnorm=V, radius=filters.default_ball_radius(dynamics.lorenz63()),
-            truth=t,
         )
+        run = filters.run_observer(dynamics.lorenz63(), observer, obs, truth=t)
         runs.append(run.estimates)
     np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -484,7 +484,9 @@ def test_export_filter_run_round_trip_columns(tmp_path):
     truth, obs = observation.generate_truth_and_observations(
         model, P, noise, init, 0.2, 10, 0.01, rng
     )
-    run = filters.run_observer(model, P, D, np.zeros(3), obs, truth=truth)
+    run = filters.run_observer(
+        model, filters.FixedGainObserver(P, D, np.zeros(3)), obs, truth=truth
+    )
     path = tmp_path / "run.csv"
     filters.export_filter_run(run, path)
     lines = path.read_text().strip().splitlines()

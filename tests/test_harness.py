@@ -114,6 +114,19 @@ def test_degenerate_particle_trials_are_excluded():
     assert t_row.n_used == 1
 
 
+def test_particle_only_experiment():
+    # no fixed-gain rows: only the truth steps in the batched loop
+    cfg = tiny_config(
+        filters=[{"name": "pf", "kind": "particle", "n_particles": "50"}],
+        epsilons=[0.5],
+        n_inits=1,
+        n_noise=2,
+    )
+    row = harness.run_mse_experiment(cfg).row("pf", 0.5)
+    assert row.n_used == 2 and row.n_excluded == 0
+    assert np.isfinite(row.mse)
+
+
 def test_time_averaged_mode():
     report = harness.run_mse_experiment(tiny_config(mse_mode="time-averaged"))
     assert all(np.isfinite(r.mse) for r in report.rows)

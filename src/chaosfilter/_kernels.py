@@ -30,10 +30,21 @@ def lorenz63_rk4(u, nsub, dt, a, b, f3):
 
 
 def lorenz96_rk4(u, nsub, dt, forcing):
-    """Advance (n,d) cyclic-advection states through nsub RK4 substeps."""
+    """Advance (n,d) cyclic-advection states through nsub RK4 substeps.
 
-    def field(s):
-        return (np.roll(s, -1, 1) - np.roll(s, 2, 1)) * np.roll(s, 1, 1) - s + forcing
+    The field (s[i+1] - s[i-2]) s[i-1] - s[i] + forcing reads the cyclic
+    neighbours as slices of one ghost-padded (n, d+3) buffer: columns
+    2..d+1 hold the stage state, columns 0 and 1 copies of sites d-2 and
+    d-1, and column d+2 a copy of site 0.
+    """
+    pad = np.empty((u.shape[0], u.shape[1] + 3), dtype=u.dtype)
+    s, p1, m2, m1 = pad[:, 2:-1], pad[:, 3:], pad[:, :-3], pad[:, 1:-2]
+
+    def field(state):
+        s[...] = state
+        pad[:, :2] = state[:, -2:]
+        pad[:, -1] = state[:, 0]
+        return (p1 - m2) * m1 - s + forcing
 
     u = u.copy()
     for _ in range(nsub):

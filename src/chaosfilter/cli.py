@@ -111,6 +111,8 @@ def _cmd_filter(args):
         raise ConfigError(
             f"observation file has dimension {obs.ys.shape[1]}, model has {model.dim}"
         )
+    if np.any(projection.complement(obs.ys) != 0):
+        raise ConfigError("observation file has values at indices the model does not observe")
     truth = None
     if args.truth:
         truth = _read_data(observation.import_truth, args.truth, "truth")

@@ -7,11 +7,12 @@ quadratic norm, which bounds the estimator against noise outliers without
 touching its behaviour in the ordinary regime.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .observation import write_table
 
 
 class FilterNumericsError(RuntimeError):
@@ -479,34 +480,4 @@ class ParticleFilter:
 
 def export_filter_run(run: FilterRun, path):
     """Write per-step estimates (and squared errors / ESS when available)."""
-    est = run.estimates
-    is_complex = np.iscomplexobj(est)
-    dim = est.shape[1]
-    if is_complex:
-        cols = [f"m{i}{p}" for i in range(dim) for p in ("r", "i")]
-    else:
-        cols = [f"m{i}" for i in range(dim)]
-    header = ["j"] + cols
-    if run.sq_errors is not None:
-        header.append("sq_error")
-    if run.ess is not None:
-        header.append("ess")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(est.shape[0]):
-            if is_complex:
-                vals = []
-                for i in range(dim):
-                    vals += [
-                        format(est[j, i].real, ".17g"),
-                        format(est[j, i].imag, ".17g"),
-                    ]
-            else:
-                vals = [format(v, ".17g") for v in est[j]]
-            row = [j] + vals
-            if run.sq_errors is not None:
-                row.append(format(run.sq_errors[j], ".17g"))
-            if run.ess is not None:
-                row.append(format(run.ess[j], ".17g"))
-            writer.writerow(row)
+    write_table(path, "m", run.estimates, [("sq_error", run.sq_errors), ("ess", run.ess)])

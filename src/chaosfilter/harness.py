@@ -316,7 +316,8 @@ class DiscreteMapModel:
         return self.M @ u
 
     def step_batch(self, states, h, substeps=None):
-        return states @ self.M.T
+        # one matrix-vector product per row, so each row gets the bits of step
+        return np.array([self.M @ row for row in states]).reshape(np.shape(states))
 
 
 def sample_euclidean_ball(rng, dim, radius, size=None):

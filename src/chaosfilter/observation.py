@@ -274,26 +274,58 @@ def _format(x):
     return format(float(x), ".17g")
 
 
+def _write_rows(path, header, fmt, rows):
+    """Write a header line, then ``fmt % row`` for every tuple of ``rows``.
+
+    Lines end in ``\r\n``, as ``csv.writer`` ends them, and no field needs
+    quoting. ``%.17g`` writes the same digits as ``format(x, ".17g")``.
+    The rows are streamed, never joined into one string.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % row for row in rows)
+
+
+def _split_complex(values):
+    """A float64 table of ``values`` in which each complex entry becomes its
+    real and then its imaginary column. It is a view, so no bit changes."""
+    values = np.ascontiguousarray(values)
+    return values.view(np.float64) if np.iscomplexobj(values) else values
+
+
+def _parts(values):
+    return ("r", "i") if np.iscomplexobj(values) else ("",)
+
+
+def write_table(path, prefix, values, extra=()):
+    """Write row j of the (n, d) ``values`` as ``j,<prefix>0,...``, a complex
+    entry as its ``r`` and ``i`` columns, followed by one column for each
+    ``(name, array)`` of ``extra`` whose array is not None."""
+    header = ["j"] + [f"{prefix}{i}{p}" for i in range(values.shape[1]) for p in _parts(values)]
+    header += [name for name, column in extra if column is not None]
+    columns = [column for _, column in extra if column is not None]
+    fmt = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
+    rows = enumerate(zip(_split_complex(values), *columns))
+    _write_rows(path, header, fmt, ((j, *row.tolist(), *more) for j, (row, *more) in rows))
+
+
 def export_observations(seq: ObservationSequence, projection, path):
     """Write (j, observed-index, value) rows; complex modes split into r/i."""
-    is_complex = np.iscomplexobj(seq.ys)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "index", "value"])
-        for i in range(seq.n_steps):
-            y = seq.ys[i]
-            for idx in projection.observed:
-                if is_complex:
-                    writer.writerow([i + 1, f"{idx}r", _format(y[idx].real)])
-                    writer.writerow([i + 1, f"{idx}i", _format(y[idx].imag)])
-                else:
-                    writer.writerow([i + 1, str(idx), _format(y[idx])])
+    tokens = [f"{idx}{p}" for idx in projection.observed for p in _parts(seq.ys)]
+    # one line per (step, token); a step's lines share one format, fed
+    # from a table of alternating step numbers and values
+    values = _split_complex(seq.ys[:, projection.observed])
+    table = np.empty((values.shape[0], 2 * values.shape[1]))
+    table[:, 0::2] = np.arange(1, values.shape[0] + 1)[:, None]
+    table[:, 1::2] = values
+    fmt = "".join(f"%d,{token},%.17g\r\n" for token in tokens)
+    _write_rows(path, ["j", "index", "value"], fmt, (tuple(row.tolist()) for row in table))
     meta = {
         "eps": _format(seq.eps),
         "h": _format(seq.h),
         "n_steps": str(seq.n_steps),
         "dim": str(seq.ys.shape[1]),
-        "complex": "1" if is_complex else "0",
+        "complex": "1" if np.iscomplexobj(seq.ys) else "0",
         "seed_label": seq.seed_label,
     }
     with open(str(path) + ".meta", "w") as fh:
@@ -305,8 +337,10 @@ def import_observations(path) -> ObservationSequence:
     """Read back a sequence written by :func:`export_observations`.
 
     Raises ValueError on a ``.meta`` file missing a required key, on a
-    malformed index token, and on a step or index outside the ranges the
-    ``.meta`` file declares.
+    row that is not three fields of step, index token and number, on a
+    malformed index token (an ``r``/``i`` suffix in a real file, or none in
+    a complex one), on a step or index outside the ranges the ``.meta`` file
+    declares, and on a row that repeats an earlier one's step and index.
     """
     meta = {}
     with open(str(path) + ".meta") as fh:
@@ -320,30 +354,44 @@ def import_observations(path) -> ObservationSequence:
     n_steps = int(meta["n_steps"])
     dim = int(meta["dim"])
     is_complex = meta.get("complex", "0") == "1"
-    dtype = np.complex128 if is_complex else float
-    ys = np.zeros((n_steps, dim), dtype=dtype)
+    n_parts = 2 if is_complex else 1
+    width = n_parts * dim
+    ys = np.zeros((n_steps, dim), dtype=np.complex128 if is_complex else np.float64)
+    # Row (j, index, part) lands at (j - 1) * width + index * n_parts + part
+    # of a flat float view of ys: values are stored, never added, so signed
+    # zeros survive. A token's column is checked once, on the first line
+    # that uses it.
+    flat = memoryview(ys.view(np.float64).reshape(-1))
+    seen = bytearray(n_steps * width)
+    columns = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[:3] != ["j", "index", "value"]:
             raise ValueError(f"unexpected observation CSV header: {header}")
         for line, row in enumerate(reader, start=2):
-            j, token, value = int(row[0]), row[1], float(row[2])
-            part = token[-1:] if token[-1:] in ("r", "i") else ""
-            idx = token[: len(token) - len(part)]
-            if not idx.isdigit():
-                raise ValueError(f"{path}, line {line}: bad index token {token!r}")
-            idx = int(idx)
-            if not 0 <= idx < dim:
-                raise ValueError(f"{path}, line {line}: index {idx} outside [0, {dim})")
+            try:
+                j, token, value = row
+                j, value = int(j), float(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}: {exc}") from None
+            col = columns.get(token)
+            if col is None:
+                part = token[-1:] if token[-1:] in ("r", "i") else ""
+                idx = token[: len(token) - len(part)]
+                if not idx.isdigit() or bool(part) != is_complex:
+                    raise ValueError(f"{path}, line {line}: bad index token {token!r}")
+                idx = int(idx)
+                if not 0 <= idx < dim:
+                    raise ValueError(f"{path}, line {line}: index {idx} outside [0, {dim})")
+                col = columns[token] = idx * n_parts + (part == "i")
             if not 1 <= j <= n_steps:
                 raise ValueError(f"{path}, line {line}: step {j} outside 1..{n_steps}")
-            if part == "r":
-                ys[j - 1, idx] += value
-            elif part == "i":
-                ys[j - 1, idx] += 1j * value
-            else:
-                ys[j - 1, idx] = value
+            k = (j - 1) * width + col
+            if seen[k]:
+                raise ValueError(f"{path}, line {line}: step {j}, index {token!r} given twice")
+            seen[k] = 1
+            flat[k] = value
     return ObservationSequence(
         eps=float(meta["eps"]),
         h=float(meta["h"]),
@@ -354,23 +402,7 @@ def import_observations(path) -> ObservationSequence:
 
 def export_truth(truth, path):
     """Write a truth trajectory (j, coordinate columns)."""
-    is_complex = np.iscomplexobj(truth)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = truth.shape[1]
-        if is_complex:
-            cols = [f"v{i}{p}" for i in range(dim) for p in ("r", "i")]
-        else:
-            cols = [f"v{i}" for i in range(dim)]
-        writer.writerow(["j"] + cols)
-        for j in range(truth.shape[0]):
-            if is_complex:
-                vals = []
-                for i in range(dim):
-                    vals += [_format(truth[j, i].real), _format(truth[j, i].imag)]
-            else:
-                vals = [_format(v) for v in truth[j]]
-            writer.writerow([j] + vals)
+    write_table(path, "v", truth)
 
 
 def import_truth(path):
@@ -383,5 +415,6 @@ def import_truth(path):
         raise ValueError(f"{path} holds no states")
     data = np.array(rows, dtype=float)
     if is_complex:
-        return data[:, 0::2] + 1j * data[:, 1::2]
+        # the r/i column pairs are the memory layout of complex128
+        return data.view(np.complex128)
     return data

@@ -267,6 +267,10 @@ def _drop_last_line(path):
     open(path, "w").writelines(lines[:-1])
 
 
+def _repeat_first_row(obs, truth):
+    _append(obs, open(obs).readlines()[1])
+
+
 def _drop_meta_key(key):
     def corrupt(obs, truth):
         lines = open(obs + ".meta").read().splitlines(keepends=True)
@@ -282,6 +286,10 @@ CORRUPTIONS = {
     "bad-token": lambda obs, truth: _append(obs, "1,0x,0.5\n"),
     "step-zero": lambda obs, truth: _append(obs, "0,0,0.5\n"),
     "step-past-end": lambda obs, truth: _append(obs, "21,0,0.5\n"),
+    "repeated-row": _repeat_first_row,
+    "short-row": lambda obs, truth: _append(obs, "1,0\n"),
+    "unobserved-index": lambda obs, truth: _append(obs, "1,2,0.5\n"),
+    "imaginary-part-in-real-file": lambda obs, truth: _append(obs, "1,0i,0.5\n"),
     "meta-no-eps": _drop_meta_key("eps"),
     "meta-no-h": _drop_meta_key("h"),
     "meta-no-n_steps": _drop_meta_key("n_steps"),

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosfilter import dynamics
+from chaosfilter import _kernels, dynamics
+from chaosfilter.harness import DiscreteMapModel
 from chaosfilter.spectral import navier_stokes_spectral
 
 
@@ -163,6 +164,10 @@ BATCH_MODELS = {
     "lorenz63": dynamics.lorenz63(),
     "lorenz96-60": dynamics.lorenz96(60),
     "spectral-k3": navier_stokes_spectral(0.1, {(1, 0): 1.0}, 3),
+    **{
+        f"linear-map-{d}": DiscreteMapModel(np.random.default_rng(d).standard_normal((d, d)))
+        for d in (8, 60)
+    },
 }
 
 
@@ -181,6 +186,38 @@ def test_step_batch_matches_individual_steps(name, n, seed):
     together = model.step_batch(batch, 0.02)
     separate = np.stack([model.step(row, 0.02) for row in batch])
     np.testing.assert_allclose(together, separate, rtol=0, atol=0)
+
+
+def lorenz96_rk4_by_roll(u, nsub, dt, forcing):
+    """The cyclic-advection RK4 stepper written with np.roll, as a reference."""
+
+    def field(s):
+        return (np.roll(s, -1, 1) - np.roll(s, 2, 1)) * np.roll(s, 1, 1) - s + forcing
+
+    u = u.copy()
+    for _ in range(nsub):
+        k1 = field(u)
+        k2 = field(u + 0.5 * dt * k1)
+        k3 = field(u + 0.5 * dt * k2)
+        k4 = field(u + dt * k3)
+        u += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(2, 40).map(lambda k: 3 * k),
+    n=st.integers(1, 8),
+    nsub=st.integers(1, 10),
+    scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lorenz96_kernel_matches_roll_reference_bitwise(d, n, nsub, scale, seed):
+    u = scale * np.random.default_rng(seed).standard_normal((n, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _kernels.lorenz96_rk4(u, nsub, 0.01 / nsub, 8.0)
+        want = lorenz96_rk4_by_roll(u, nsub, 0.01 / nsub, 8.0)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from chaosfilter import dynamics, observation
+from chaosfilter import dynamics, filters, observation
 from chaosfilter.spectral import SpectralGrid, navier_stokes_spectral
 
 
@@ -284,3 +291,102 @@ def test_export_is_byte_stable(tmp_path):
         observation.export_observations(obs, P, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_repeated_observation_rows_are_rejected(tmp_path):
+    ys = np.array([[1.5258 + 0.5j, 0.0], [2.0 - 1.0j, 0.0]])
+    seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=ys)
+    path = tmp_path / "obs.csv"
+    observation.export_observations(seq, observation.CoordinateProjection(2, [0]), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[1] == b"1,0r,1.5258\r\n"
+    path.write_bytes(b"".join(lines + [lines[1]]))
+    with pytest.raises(ValueError, match=r"line 6: step 1, index '0r' given twice"):
+        observation.import_observations(path)
+
+
+# awkward values every writer must carry through: signed zeros, subnormals,
+# magnitudes near the float limits and infinities
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, np.inf, -np.inf,
+]
+
+
+def float_tables(allow_nan=False, shape=st.tuples(st.integers(1, 6), st.integers(1, 5))):
+    elements = st.one_of(
+        st.floats(allow_nan=allow_nan, width=64), st.sampled_from(SPECIAL_FLOATS)
+    )
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+@st.composite
+def tables(draw, allow_nan=False):
+    """A real table, or a complex one whose parts are set without arithmetic."""
+    real = draw(float_tables(allow_nan))
+    if not draw(st.booleans()):
+        return real
+    imag = draw(float_tables(allow_nan, shape=real.shape))
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real, out.imag = real, imag
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth=tables())
+def test_truth_csv_round_trip_is_bit_exact(truth):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "truth.csv")
+        observation.export_truth(truth, path)
+        back = observation.import_truth(path)
+    assert back.dtype == truth.dtype and back.tobytes() == truth.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ys=tables(), data=st.data())
+def test_observation_csv_round_trip_is_bit_exact(ys, data):
+    dim = ys.shape[1]
+    observed = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
+    projection = observation.CoordinateProjection(dim, observed)
+    ys = projection.apply(ys)
+    eps = data.draw(st.floats(0.0, 1e300))
+    h = data.draw(st.floats(1e-300, 1e300))
+    seq = observation.ObservationSequence(eps=eps, h=h, ys=ys)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.csv")
+        observation.export_observations(seq, projection, path)
+        back = observation.import_observations(path)
+    assert (back.eps, back.h) == (eps, h)
+    assert back.ys.dtype == ys.dtype and back.ys.tobytes() == ys.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(est=tables(allow_nan=True), data=st.data())
+def test_filter_run_csv_parses_back_to_equal_values(est, data):
+    n = est.shape[0]
+    column = hnp.arrays(np.float64, n, elements=st.floats(width=64))
+    sq_errors = data.draw(st.none() | column)
+    ess = data.draw(st.none() | column)
+    run = filters.FilterRun(kind="observer", estimates=est, sq_errors=sq_errors, ess=ess)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.csv")
+        filters.export_filter_run(run, path)
+        with open(path, newline="") as fh:
+            text = fh.read()
+        rows = list(csv.reader(text.splitlines()))
+    assert text.endswith("\r\n") and text.count("\r\n") == n + 1
+    parts = ("r", "i") if np.iscomplexobj(est) else ("",)
+    header = ["j"] + [f"m{i}{p}" for i in range(est.shape[1]) for p in parts]
+    header += [name for name, col in (("sq_error", sq_errors), ("ess", ess)) if col is not None]
+    assert rows[0] == header
+    assert [int(row[0]) for row in rows[1:]] == list(range(n))
+    got = np.array([row[1:] for row in rows[1:]], dtype=float)
+    want = est
+    if np.iscomplexobj(est):
+        want = np.empty((n, 2 * est.shape[1]))
+        want[:, 0::2], want[:, 1::2] = est.real, est.imag
+    extra = [col[:, None] for col in (sq_errors, ess) if col is not None]
+    want = np.hstack([want] + extra)
+    np.testing.assert_array_equal(got, want)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))

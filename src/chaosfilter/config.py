@@ -257,13 +257,20 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
         )
 
     if kind == "particle":
+        n_particles = scalar(spec, "n_particles", int, 1000, section)
+        threshold = scalar(spec, "resample_threshold", float, 0.5, section)
+        jitter = scalar(spec, "jitter", float, 0.0, section)
+        if n_particles < 2:
+            raise ConfigError(f"[{section}] n_particles: need at least 2, got {n_particles}")
+        if not 0.0 <= threshold <= 1.0:
+            raise ConfigError(
+                f"[{section}] resample_threshold: must lie in [0, 1], got {threshold}"
+            )
+        if not jitter >= 0.0:  # nan fails too
+            raise ConfigError(f"[{section}] jitter: must be nonnegative, got {jitter}")
         return filters.ParticleFilter(
-            projection,
-            noise,
-            scalar(spec, "n_particles", int, 1000, section),
-            init_sampler,
-            resample_threshold=scalar(spec, "resample_threshold", float, 0.5, section),
-            jitter=scalar(spec, "jitter", float, 0.0, section),
+            projection, noise, n_particles, init_sampler,
+            resample_threshold=threshold, jitter=jitter,
         )
 
     raise ConfigError(f"unknown filter kind {kind!r}")

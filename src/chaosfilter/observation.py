@@ -406,15 +406,36 @@ def export_truth(truth, path):
 
 
 def import_truth(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        is_complex = header[-1].endswith("i")
-        rows = [row[1:] for row in reader]
-    if not rows:
+    """Read back a trajectory written by :func:`export_truth`, bit for bit.
+
+    Each line is parsed with ``float`` straight into its row of a float64
+    array; no table of strings is built. Raises ValueError naming the line
+    on a row whose field count differs from the header's or that holds a
+    bad number, and on a file that holds no states.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        width = len(header) - 1
+        if width < 1:
+            raise ValueError(f"{path} holds no states")
+
+        def rows():
+            for line, text in enumerate(fh, start=2):
+                fields = text.rstrip("\n").split(",")
+                if len(fields) != width + 1:
+                    raise ValueError(
+                        f"{path}, line {line}: {len(fields)} fields, the header has {width + 1}"
+                    )
+                try:
+                    values = [float(tok) for tok in fields[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {line}: {exc}") from None
+                yield values
+
+        data = np.fromiter(rows(), dtype=(np.float64, width))
+    if not len(data):
         raise ValueError(f"{path} holds no states")
-    data = np.array(rows, dtype=float)
-    if is_complex:
+    if header[-1].endswith("i"):
         # the r/i column pairs are the memory layout of complex128
         return data.view(np.complex128)
     return data

@@ -257,6 +257,37 @@ def test_bad_scalar_config_values_exit_one(tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
+BAD_PARTICLE_SETTINGS = {
+    "one-particle": ("n_particles = 1", "n_particles: need at least 2"),
+    "negative-jitter": ("jitter = -1", "jitter: must be nonnegative"),
+    "threshold-above-one": ("resample_threshold = 1.5", "resample_threshold: must lie in [0, 1]"),
+    "threshold-below-zero": ("resample_threshold = -0.1", "resample_threshold: must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARTICLE_SETTINGS))
+def test_bad_particle_settings_exit_one(tmp_path, capsys, case):
+    setting, message = BAD_PARTICLE_SETTINGS[case]
+    good = write(tmp_path, TINY.format(out=str(tmp_path / "o.csv")), "good.cfg")
+    sim_out = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", good, "--out", sim_out]) == 0
+    capsys.readouterr()
+    bad_particle = PARTICLE.replace("n_particles = 20", "") + "\n" + setting
+    bodies = {
+        "mse-table": TINY.replace("[filter:trunc]", bad_particle + "\n\n[filter:trunc]"),
+        "filter": TINY.replace("[filter:trunc]\nkind = truncated-observer", bad_particle),
+    }
+    for command, body in bodies.items():
+        cfg = write(tmp_path, body.format(out=str(tmp_path / "o.csv")))
+        argv = [command, "--config", cfg]
+        if command == "filter":
+            argv += ["--obs", sim_out + "_observations.csv"]
+        assert cli.main(argv) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("chaosfilter: config error:"), (command, err)
+        assert message in err and "Traceback" not in err
+
+
 def _append(path, text):
     with open(path, "a") as fh:
         fh.write(text)

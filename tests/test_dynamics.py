@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosfilter import _kernels, dynamics
@@ -93,26 +93,31 @@ def test_dimension_mismatch_rejected(l63):
 # structural invariants of the bilinear form
 
 
-@pytest.mark.parametrize("maker", [dynamics.lorenz63, lambda: dynamics.lorenz96(6), lambda: dynamics.lorenz96(60)])
-def test_bilinear_symmetry(maker):
-    model = maker()
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        u = 10.0 * rng.standard_normal(model.dim)
-        w = 10.0 * rng.standard_normal(model.dim)
-        diff = model.bilinear(u, w) - model.bilinear(w, u)
-        bound = 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
-        assert np.linalg.norm(diff) <= bound
+QUADRATIC_MAKERS = [dynamics.lorenz63, lambda: dynamics.lorenz96(6), lambda: dynamics.lorenz96(60)]
+SCALES = st.sampled_from([1e-3, 1.0, 10.0, 1e3])
 
 
-@pytest.mark.parametrize("maker", [dynamics.lorenz63, lambda: dynamics.lorenz96(6), lambda: dynamics.lorenz96(60)])
-def test_energy_conserving_nonlinearity(maker):
+@pytest.mark.parametrize("maker", QUADRATIC_MAKERS)
+@settings(max_examples=100, deadline=None)
+@given(scale_u=SCALES, scale_w=SCALES, seed=st.integers(0, 2**32 - 1))
+def test_bilinear_symmetry(maker, scale_u, scale_w, seed):
     model = maker()
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        u = 10.0 * rng.standard_normal(model.dim)
-        val = abs(model.bilinear(u, u) @ u)
-        assert val <= 1e-10 * np.linalg.norm(u) ** 3
+    rng = np.random.default_rng(seed)
+    u = scale_u * rng.standard_normal(model.dim)
+    w = scale_w * rng.standard_normal(model.dim)
+    diff = model.bilinear(u, w) - model.bilinear(w, u)
+    bound = 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
+    assert np.linalg.norm(diff) <= bound
+
+
+@pytest.mark.parametrize("maker", QUADRATIC_MAKERS)
+@settings(max_examples=100, deadline=None)
+@given(scale=SCALES, seed=st.integers(0, 2**32 - 1))
+def test_energy_conserving_nonlinearity(maker, scale, seed):
+    model = maker()
+    u = scale * np.random.default_rng(seed).standard_normal(model.dim)
+    val = abs(model.bilinear(u, u) @ u)
+    assert val <= 1e-10 * np.linalg.norm(u) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +223,52 @@ def test_lorenz96_kernel_matches_roll_reference_bitwise(d, n, nsub, scale, seed)
         got = _kernels.lorenz96_rk4(u, nsub, 0.01 / nsub, 8.0)
         want = lorenz96_rk4_by_roll(u, nsub, 0.01 / nsub, 8.0)
     assert got.tobytes() == want.tobytes()
+
+
+def lorenz63_rk4_by_stack(u, nsub, dt, a, b, f3):
+    """The convection RK4 stepper on (n, 3) rows with np.stack, as a reference."""
+
+    def field(s):
+        x, y, z = s[:, 0], s[:, 1], s[:, 2]
+        return np.stack(
+            (a * (y - x), -a * x - y - x * z, f3 - b * z + x * y), axis=1
+        )
+
+    u = u.copy()
+    for _ in range(nsub):
+        k1 = field(u)
+        k2 = field(u + 0.5 * dt * k1)
+        k3 = field(u + 0.5 * dt * k2)
+        k4 = field(u + dt * k3)
+        u += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    nsub=st.integers(1, 10),
+    scale=SCALES,
+    seed=st.integers(0, 2**32 - 1),
+    huge_row=st.booleans(),
+)
+@example(n=5000, nsub=10, scale=10.0, seed=0, huge_row=False)
+@example(n=5000, nsub=3, scale=1.0, seed=1, huge_row=True)
+def test_lorenz63_kernel_matches_stack_reference_bitwise(n, nsub, scale, seed, huge_row):
+    a, b = 10.0, 8.0 / 3.0
+    f3 = -b * (28.0 + a)
+    u = scale * np.random.default_rng(seed).standard_normal((n, 3))
+    if huge_row:
+        u[n // 2] = 1e200 * np.sign(u[n // 2])
+    before = u.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _kernels.lorenz63_rk4(u, nsub, 0.01 / nsub, a, b, f3)
+        want = lorenz63_rk4_by_stack(u, nsub, 0.01 / nsub, a, b, f3)
+    assert got.shape == (n, 3) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert u.tobytes() == before.tobytes()
+    # a 1e200 row overflows, so the inf/nan arithmetic is compared too
+    assert not (huge_row and np.isfinite(got[n // 2]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,24 @@ def test_truth_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(observation.import_truth(path), truth)
 
 
+@pytest.mark.parametrize(
+    "bad_line,message",
+    [
+        (b"2,1.0\r\n", r"line 4: 2 fields, the header has 4"),
+        (b"2,1.0,2.0,3.0,4.0\r\n", r"line 4: 5 fields, the header has 4"),
+        (b"2,1.0,x,3.0\r\n", r"line 4: could not convert string to float: 'x'"),
+        (b"\r\n", r"line 4: 1 fields, the header has 4"),
+    ],
+    ids=["short", "long", "bad-number", "blank"],
+)
+def test_malformed_truth_rows_are_rejected_by_line(tmp_path, bad_line, message):
+    path = tmp_path / "truth.csv"
+    observation.export_truth(np.arange(6.0).reshape(2, 3), path)
+    path.write_bytes(path.read_bytes() + bad_line)
+    with pytest.raises(ValueError, match=message):
+        observation.import_truth(path)
+
+
 def test_export_is_byte_stable(tmp_path):
     model, P, noise, init = _setup_l63()
     blobs = []

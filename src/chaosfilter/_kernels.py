@@ -1,4 +1,4 @@
-"""Hot numeric kernels: batched RK4 steppers and the spectral convolution.
+"""Hot numeric kernels: batched RK4 steppers and the spectral advection term.
 
 One vectorized numpy build per kernel. States are batched row-wise: shape
 ``(n_batch, dim)`` float64 (complex128 for spectral coefficients), and the
@@ -90,14 +90,32 @@ def lorenz96_rk4(u, nsub, dt, forcing):
     return u
 
 
-def bilinear_conv(u, v, row_idx, pcols, qcols, weights, n_out):
-    """Sparse convolution out[k] = sum over entries t with row_idx[t] = k of
-    weights[t] * u[pcols[t]] * v[qcols[t]].
+def bilinear_conv(u, w, shape, put, mirror, mult, fold):
+    """Dealiased advection term i/|k| F[psi_x omega_y - psi_y omega_x] of
+    (n, n_reps) batches of representative coefficients, symmetrized over
+    ``u`` and ``w`` (one Jacobian when ``w is u``).
 
-    Entry tables enumerate the admissible wavevector pairs (p, q = k - p)
-    inside the truncated lattice; see ``spectral.SpectralGrid``.
+    ``mult`` holds the real multipliers k_x/|k|, k_y/|k|, k_x|k|, k_y|k|
+    that turn v' into psi_x, psi_y, omega_x, omega_y; ``fold`` is i/|k|.
+    ``put`` gives the flat positions in the ``shape`` = (M, M//2+1) half
+    spectrum of each representative, then of the conjugate partners of the
+    representatives ``mirror``. Each row is transformed on its own, so its
+    result does not depend on the batch.
     """
-    prod = weights * u[pcols] * v[qcols]
-    out = np.bincount(row_idx, weights=prod.real, minlength=n_out).astype(complex)
-    out += 1j * np.bincount(row_idx, weights=prod.imag, minlength=n_out)
-    return out
+    n, r = u.shape
+    fields = (u,) if w is u else (u, w)
+    spec = np.zeros((len(fields), 4, n) + shape, dtype=np.complex128)
+    for s, x in zip(spec, fields):
+        c = mult[:, None, :] * x
+        s.reshape(4, n, -1)[..., put] = np.concatenate([c, np.conj(c[..., mirror])], -1)
+    grids = np.fft.irfft2(spec, s=(shape[0],) * 2, norm="forward")
+    (px, py, ox, oy), (qx, qy, rx, ry) = grids[0], grids[-1]
+    jac = px * ry
+    jac -= py * rx
+    if w is not u:
+        # J(psi_u, omega_w) + J(psi_w, omega_u): the same sum in either order
+        swap = qx * oy
+        swap -= qy * ox
+        jac += swap
+        jac *= 0.5
+    return np.fft.rfft2(jac, norm="forward").reshape(n, -1)[:, put[:r]] * fold

@@ -225,9 +225,11 @@ def _cmd_squeeze_probe(args):
     vnorm = cfgmod.default_vnorm(model, projection)
     gain = filters.Gain.identity_on_observed(projection)
     h = cfgmod.scalar(sec, "h", float, 0.01, "squeeze")
+    if not h > 0:
+        raise ConfigError(f"[squeeze] h: must be positive, got {h}")
     n_samples = cfgmod.scalar(sec, "n_samples", int, 10000, "squeeze")
     scales = cfgmod._floats(sec.get("scales", "1"))
-    substeps = cfgmod.scalar(sec, "substeps", int, None, "squeeze")
+    substeps = cfgmod.substeps_value(sec, "squeeze") or None
     seed = args.seed if args.seed is not None else cfgmod.scalar(sec, "seed", int, 0, "squeeze")
     from .dynamics import absorbing_radius
 

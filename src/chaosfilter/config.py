@@ -126,15 +126,25 @@ class ExperimentConfig:
 # builders
 
 
+def substeps_value(spec, section):
+    """``substeps`` of a section: 0 or absent means the model default."""
+    substeps = scalar(spec, "substeps", int, 0, section) if spec.get("substeps") else 0
+    if substeps < 0:
+        raise ConfigError(f"[{section}] substeps: must be nonnegative, got {substeps}")
+    return substeps
+
+
 def build_model(spec):
     kind = spec.get("kind")
-    substeps = scalar(spec, "substeps", int, 0, "model") if spec.get("substeps") else 0
+    substeps = substeps_value(spec, "model")
     if kind == "lorenz63":
         return dynamics.lorenz63(substeps=substeps or 10)
     if kind == "lorenz96":
         dim = scalar(spec, "dimension", int, 0, "model")
-        if dim <= 0:
-            raise ConfigError("lorenz96 requires a positive 'dimension'")
+        if dim < 6 or dim % 3:
+            raise ConfigError(
+                f"[model] dimension: must be a multiple of 3 and at least 6, got {dim}"
+            )
         return dynamics.lorenz96(dim, substeps=substeps or 10)
     if kind == "navier-stokes":
         for key in ("viscosity", "k_max"):
@@ -145,6 +155,15 @@ def build_model(spec):
         period = scalar(spec, "period", float, 2.0 * np.pi, "model")
         mode = _ints(str(spec.get("forcing_mode", "1 0")))
         amp = complex(scalar(spec, "forcing_amplitude", float, 1.0, "model"))
+        if not (np.isfinite(nu) and nu > 0):
+            raise ConfigError(f"[model] viscosity: must be positive and finite, got {nu}")
+        if k_max < 1:
+            raise ConfigError(f"[model] k_max: must be at least 1, got {k_max}")
+        if len(mode) != 2 or mode == [0, 0] or max(map(abs, mode)) > k_max:
+            raise ConfigError(
+                f"[model] forcing_mode: need two integers n1 n2, not both 0, with "
+                f"|n1|, |n2| <= k_max = {k_max}; got {spec.get('forcing_mode')!r}"
+            )
         return spectral.navier_stokes_spectral(
             nu, {tuple(mode): amp}, k_max, period=period, substeps=substeps or 5
         )

@@ -4,10 +4,10 @@ States are complex scalar coefficients over a representative half of the
 wavevector lattice ``0 < |n|_inf <= k_max``: writing the velocity Fourier
 coefficient as ``v_k = v'_k k_perp / |k|`` makes the field divergence-free
 by construction, and storing one scalar per +/-k pair makes it real-valued
-by construction. The advection term is evaluated as an exact convolution
-over the truncated lattice (no dealiasing needed at this scale), and time
-stepping uses RK4 on integrating-factor-transformed coefficients so the
-stiff viscous part is handled exactly.
+by construction. The advection term is evaluated pseudo-spectrally, on a
+grid padded by the 3/2 rule so that no aliased mode reaches the lattice
+(Orszag 1971), and time stepping uses RK4 on integrating-factor-transformed
+coefficients so the stiff viscous part is handled exactly.
 """
 
 import numpy as np
@@ -16,10 +16,13 @@ from . import _kernels
 from .dynamics import check_finite
 
 TWO_PI = 2.0 * np.pi
+#: grid points per block of rows that step_batch integrates at once, which
+#: bounds the advection term's FFT temporaries to about 13 MB
+BLOCK_POINTS = 2**17
 
 
 class SpectralGrid:
-    """Wavevector bookkeeping and convolution tables for one truncation."""
+    """Wavevector bookkeeping and the advection FFT plan for one truncation."""
 
     def __init__(self, k_max, period=TWO_PI):
         self.k_max = int(k_max)
@@ -43,41 +46,20 @@ class SpectralGrid:
         self.k2_full = np.einsum("ij,ij->i", kv, kv)
         self.k2_reps = self.k2_full[: self.n_reps]
 
-        self._build_conv_tables()
-
-    def _build_conv_tables(self):
-        # entries for out[k] = sum_{p+q=k} gamma(p,q) u'_p u'_q, k a representative
-        rows, pcols, qcols, weights = [], [], [], []
-        kmax = self.k_max
-        for ki in range(self.n_reps):
-            nk = self.full[ki]
-            k = self.kvecs[ki]
-            nrm_k = np.sqrt(self.k2_full[ki])
-            for pi in range(self.n_full):
-                nq = nk - self.full[pi]
-                if nq[0] == 0 and nq[1] == 0:
-                    continue
-                if abs(nq[0]) > kmax or abs(nq[1]) > kmax:
-                    continue
-                qi = self._lookup[(nq[0], nq[1])]
-                p, q = self.kvecs[pi], self.kvecs[qi]
-                cross = p[0] * q[1] - p[1] * q[0]
-                if cross == 0.0:
-                    continue
-                w = (
-                    0.5j
-                    * cross
-                    * (self.k2_full[qi] - self.k2_full[pi])
-                    / (np.sqrt(self.k2_full[pi]) * np.sqrt(self.k2_full[qi]) * nrm_k)
-                )
-                rows.append(ki)
-                pcols.append(pi)
-                qcols.append(qi)
-                weights.append(w)
-        self.conv_rows = np.array(rows, dtype=np.int64)
-        self.conv_p = np.array(pcols, dtype=np.int64)
-        self.conv_q = np.array(qcols, dtype=np.int64)
-        self.conv_w = np.array(weights, dtype=np.complex128)
+        # FFT plan of _kernels.bilinear_conv on the smallest 5-smooth
+        # M >= 3 k_max + 1 (M is 5-smooth iff it divides a power of 30)
+        m = 3 * self.k_max + 1
+        while pow(30, m, m):
+            m += 1
+        half = m // 2 + 1
+        self.fft_shape = (m, half)
+        n1, n2 = self.reps.T
+        self.fft_mirror = np.flatnonzero(n1 == 0)
+        self.fft_put = np.concatenate([n2 % m * half + n1, -n2[self.fft_mirror] % m * half])
+        kx, ky = self.kvecs[: self.n_reps].T
+        k = np.sqrt(self.k2_reps)
+        self.conv_w = np.stack([kx / k, ky / k, kx * k, ky * k])
+        self.fft_fold = 1j / k
 
     # -- representation helpers ------------------------------------------------
 
@@ -127,19 +109,17 @@ class SpectralNSModel:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _conv_full(self, u_full, v_full):
+    def _conv(self, u, w):
         g = self.grid
         return _kernels.bilinear_conv(
-            u_full, v_full, g.conv_rows, g.conv_p, g.conv_q, g.conv_w, g.n_reps
+            u, w, g.fft_shape, g.fft_put, g.fft_mirror, g.conv_w, g.fft_fold
         )
 
     def bilinear(self, u_reps, w_reps):
         """Symmetric advection form B(u, w), representative coefficients."""
-        uf = self.grid.expand(np.asarray(u_reps, dtype=np.complex128))
-        wf = self.grid.expand(np.asarray(w_reps, dtype=np.complex128))
-        buw = self._conv_full(uf, wf)
-        bwu = self._conv_full(wf, uf)
-        return 0.5 * (buw + bwu)
+        u = np.asarray(u_reps, dtype=np.complex128)[None]
+        w = np.asarray(w_reps, dtype=np.complex128)[None]
+        return self._conv(u, w)[0]
 
     def vector_field(self, u_reps):
         """Right-hand side f - A u - B(u, u) in representative coefficients."""
@@ -148,20 +128,19 @@ class SpectralNSModel:
             raise ValueError(
                 f"state has shape {u_reps.shape}, model {self.name!r} expects ({self.dim},)"
             )
-        uf = self.grid.expand(u_reps)
-        buu = self._conv_full(uf, uf)
+        u = u_reps[None]
+        buu = self._conv(u, u)[0]
         return self.forcing - self.nu * self.grid.k2_reps * u_reps - buu
 
     # -- time stepping ------------------------------------------------------------
 
-    def _nonlinear(self, u_reps):
-        uf = self.grid.expand(u_reps)
-        return self.forcing - self._conv_full(uf, uf)
+    def _nonlinear(self, u):
+        return self.forcing - self._conv(u, u)
 
     def _advance(self, u, h, substeps):
         if h <= 0:
             raise ValueError("assimilation interval h must be positive")
-        u = np.asarray(u, dtype=np.complex128).copy()
+        u = np.array(u, dtype=np.complex128)
         nsub = self.substeps if substeps is None else int(substeps)
         dt = h / nsub
         decay = np.exp(-self.nu * self.grid.k2_reps * (dt / 2.0))
@@ -179,14 +158,16 @@ class SpectralNSModel:
 
     def step(self, u, h, substeps=None):
         """One assimilation interval via integrating-factor RK4."""
-        return check_finite(self.name, h, self._advance(u, h, substeps)[None])[0]
+        return self.step_batch(np.asarray(u)[None], h, substeps)[0]
 
     def step_batch(self, states, h, substeps=None):
-        """Advance a batch of states (n, dim) row by row; the blow-up check
-        runs over the stacked rows, so BlowUpError names every bad row."""
+        """Advance a batch of states (n, dim). Rows are independent and are
+        integrated in blocks of rows; BlowUpError names every non-finite row."""
         states = np.asarray(states, dtype=np.complex128)
-        out = np.stack([self._advance(s, h, substeps) for s in states])
-        return check_finite(self.name, h, out)
+        rows = max(1, BLOCK_POINTS // self.grid.fft_shape[0] ** 2)
+        blocks = [self._advance(states[i : i + rows], h, substeps)
+                  for i in range(0, len(states), rows)]
+        return check_finite(self.name, h, np.concatenate(blocks))
 
     def __repr__(self):
         return f"SpectralNSModel(k_max={self.grid.k_max}, nu={self.nu})"

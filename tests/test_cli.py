@@ -288,6 +288,58 @@ def test_bad_particle_settings_exit_one(tmp_path, capsys, case):
         assert message in err and "Traceback" not in err
 
 
+# case -> (subcommand, config template, text replaced, replacement, key named)
+OUT_OF_RANGE = {
+    "model-substeps-negative": (
+        "mse-table", TINY, "kind = lorenz63", "kind = lorenz63\nsubsteps = -1", "substeps"
+    ),
+    "ns-substeps-negative": ("mse-table", NS_EXPERIMENT, "substeps = 4", "substeps = -1",
+                             "substeps"),
+    "squeeze-substeps-negative": (
+        "squeeze-probe", SQUEEZE_TINY, "seed = 5", "seed = 5\nsubsteps = -1", "substeps"
+    ),
+    "k_max-zero": ("mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 0", "k_max"),
+    "viscosity-zero": ("mse-table", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = 0",
+                       "viscosity"),
+    "viscosity-negative": (
+        "mse-table", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = -0.5", "viscosity"
+    ),
+    "viscosity-nan": ("mse-table", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = nan",
+                      "viscosity"),
+    "viscosity-inf": ("mse-table", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = inf",
+                      "viscosity"),
+    "forcing-mode-outside-lattice": (
+        "mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nforcing_mode = 9 0", "forcing_mode"
+    ),
+    "forcing-mode-one-integer": (
+        "mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nforcing_mode = 1", "forcing_mode"
+    ),
+    "forcing-mode-zero": (
+        "mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nforcing_mode = 0 0", "forcing_mode"
+    ),
+    "lorenz96-dimension-2": (
+        "mse-table", TINY, "kind = lorenz63", "kind = lorenz96\ndimension = 2", "dimension"
+    ),
+    "lorenz96-dimension-not-3n": (
+        "mse-table", TINY, "kind = lorenz63", "kind = lorenz96\ndimension = 10", "dimension"
+    ),
+    "squeeze-h-negative": ("squeeze-probe", SQUEEZE_TINY, "h = 0.01", "h = -0.01", "h"),
+    "squeeze-h-zero": ("squeeze-probe", SQUEEZE_TINY, "h = 0.01", "h = 0", "h"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_config_values_exit_one(tmp_path, capsys, case):
+    command, template, old, new, key = OUT_OF_RANGE[case]
+    assert old in template
+    cfg = write(tmp_path, template.replace(old, new).format(out=str(tmp_path / "o.csv")))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:"), err
+    assert f"{key}: " in err and "Traceback" not in err
+
+
 def _append(path, text):
     with open(path, "a") as fh:
         fh.write(text)

@@ -165,10 +165,32 @@ def test_blowup_raises(l63):
         l63.step(huge, 1.0)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad_rows", [(), (0,), (3,), (1, 4), (0, 1, 2, 3, 4)])
+def test_check_finite_names_the_non_finite_rows(dtype, bad_rows):
+    out = np.random.default_rng(len(bad_rows)).standard_normal((5, 4)).astype(dtype)
+    specials = [np.inf, np.nan, -np.inf]
+    if dtype is complex:
+        specials += [complex(0.0, np.inf), complex(1.0, np.nan)]
+    for j, row in enumerate(bad_rows):
+        out[row, (row + j) % 4] = specials[j % len(specials)]
+    if not bad_rows:
+        assert dynamics.check_finite("m", 0.1, out) is out
+        return
+    with pytest.raises(dynamics.BlowUpError) as info:
+        dynamics.check_finite("m", 0.1, out)
+    assert info.value.states is out
+    np.testing.assert_array_equal(info.value.bad, ~np.isfinite(out).all(axis=1))
+    assert sorted(np.flatnonzero(info.value.bad)) == list(bad_rows)
+
+
 BATCH_MODELS = {
     "lorenz63": dynamics.lorenz63(),
     "lorenz96-60": dynamics.lorenz96(60),
-    "spectral-k3": navier_stokes_spectral(0.1, {(1, 0): 1.0}, 3),
+    **{
+        f"spectral-k{k}": navier_stokes_spectral(0.1, {(1, 0): 1.0}, k)
+        for k in (1, 3, 8)
+    },
     **{
         f"linear-map-{d}": DiscreteMapModel(np.random.default_rng(d).standard_normal((d, d)))
         for d in (8, 60)
@@ -182,14 +204,25 @@ BATCH_MODELS = {
     n=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(name="spectral-k8", n=1, seed=54)
 def test_step_batch_matches_individual_steps(name, n, seed):
     model = BATCH_MODELS[name]
     rng = np.random.default_rng(seed)
     batch = 5.0 * rng.standard_normal((n, model.dim))
     if hasattr(model, "grid"):
         batch = batch + 5.0j * rng.standard_normal((n, model.dim))
-    together = model.step_batch(batch, 0.02)
-    separate = np.stack([model.step(row, 0.02) for row in batch])
+
+    def stepped(step, states):
+        # rows that blow up (the spectral flow at k_max 8 often does from
+        # these states) are compared through the states BlowUpError carries
+        try:
+            return step(states, 0.02)
+        except dynamics.BlowUpError as err:
+            return err.states.reshape(states.shape)
+
+    with np.errstate(all="ignore"):
+        together = stepped(model.step_batch, batch)
+        separate = np.stack([stepped(model.step, row) for row in batch])
     np.testing.assert_allclose(together, separate, rtol=0, atol=0)
 
 

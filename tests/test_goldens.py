@@ -8,7 +8,11 @@ cover the convection model (final and time-averaged error, a truncation
 radius small enough that the projection fires, 3DVAR), the 60-site model
 with a 3DVAR gain over 40 observed coordinates, the spectral flow at
 k_max 3, an observer beside a particle filter, and a config in which some
-truths, some filter rows and some particle clouds blow up.
+truths, some filter rows and some particle clouds blow up. The spectral
+goldens (``ns_k3`` here and in ``roundtrip/``) were captured again when the
+advection term moved from convolution tables to dealiased FFTs, after every
+changed number was checked to agree with the table-era file to 1e-12
+relative (state coefficients against their state's largest coefficient).
 
 Each ``goldens/roundtrip/<name>.cfg`` is run through ``simulate`` and then
 ``filter``; the truth, observation and filter-run files were captured from

@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaosfilter import dynamics
+from chaosfilter import dynamics, spectral
 from chaosfilter.spectral import (
     SpectralGrid,
     forcing_from_velocity,
@@ -49,6 +53,92 @@ def oracle_bilinear(grid, u_reps, w_reps):
     kperp = np.stack([-grid.kvecs[:, 1], grid.kvecs[:, 0]], axis=1)
     unit = kperp / np.sqrt(np.einsum("ij,ij->i", grid.kvecs, grid.kvecs))[:, None]
     return np.einsum("ij,ij->i", out, unit.astype(complex))
+
+
+@functools.lru_cache(maxsize=None)
+def conv_tables(k_max):
+    """Entries (k, p, q, weight) of out[k] = sum_{p+q=k} weight u'_p w'_q over
+    the truncated lattice, k a representative: the O(k_max^4) tables the
+    model stepped with before its FFT advection, kept as an oracle."""
+    grid = SpectralGrid(k_max)
+    rows, pcols, qcols, weights = [], [], [], []
+    for ki in range(grid.n_reps):
+        nk = grid.full[ki]
+        nrm_k = np.sqrt(grid.k2_full[ki])
+        for pi in range(grid.n_full):
+            nq = nk - grid.full[pi]
+            if nq[0] == 0 and nq[1] == 0:
+                continue
+            if abs(nq[0]) > k_max or abs(nq[1]) > k_max:
+                continue
+            qi = grid.index_of(nq)
+            p, q = grid.kvecs[pi], grid.kvecs[qi]
+            cross = p[0] * q[1] - p[1] * q[0]
+            if cross == 0.0:
+                continue
+            w = (
+                0.5j
+                * cross
+                * (grid.k2_full[qi] - grid.k2_full[pi])
+                / (np.sqrt(grid.k2_full[pi]) * np.sqrt(grid.k2_full[qi]) * nrm_k)
+            )
+            rows.append(ki)
+            pcols.append(pi)
+            qcols.append(qi)
+            weights.append(w)
+    return grid, np.array(rows), np.array(pcols), np.array(qcols), np.array(weights)
+
+
+def table_conv(k_max, u_reps, w_reps):
+    """The tables' convolution of one pair of states, and beside it the sum
+    of the magnitudes of its terms at each k (the scale its rounding and
+    the FFT's are measured against, since the terms may cancel)."""
+    grid, rows, p, q, weights = conv_tables(k_max)
+    terms = weights * grid.expand(u_reps)[p] * grid.expand(w_reps)[q]
+    n = grid.n_reps
+    out = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
+    return out, np.bincount(rows, np.abs(terms), n)
+
+
+@functools.lru_cache(maxsize=None)
+def ns_model(k_max):
+    return navier_stokes_spectral(0.5, {(1, 0): 1.0 - 0.5j}, k_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k_max=st.integers(1, 8),
+    n=st.integers(1, 8),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_advection_matches_convolution_tables(k_max, n, log_scale, seed):
+    model = ns_model(k_max)
+    rng = np.random.default_rng(seed)
+    U, W = 10.0**log_scale * (
+        rng.standard_normal((2, n, model.dim)) + 1j * rng.standard_normal((2, n, model.dim))
+    )
+    stepping = model._nonlinear(U)
+    for u, w, g in zip(U, W, stepping):
+        buw, size_uw = table_conv(k_max, u, w)
+        bwu, size_wu = table_conv(k_max, w, u)
+        want = 0.5 * (buw + bwu)
+        scale = 0.5 * (size_uw + size_wu).max()
+        assert np.abs(model.bilinear(u, w) - want).max() <= 1e-14 * scale
+        buu, size = table_conv(k_max, u, u)
+        scale = size.max() + np.abs(model.forcing).max()
+        assert np.abs(g - (model.forcing - buu)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k_max", [1, 4, 8])
+def test_step_batch_across_row_blocks(monkeypatch, k_max):
+    model = ns_model(k_max)
+    rows = np.stack([random_state(model.grid, 20 + i) for i in range(8)])
+    separate = np.stack([model.step(r, 0.02) for r in rows])
+    monkeypatch.setattr(spectral, "BLOCK_POINTS", 3 * model.grid.fft_shape[0] ** 2)
+    together = model.step_batch(rows, 0.02)  # blocks of 3, 3 and 2 rows
+    assert np.isfinite(together).all()
+    assert together.tobytes() == separate.tobytes()
 
 
 # ---------------------------------------------------------------------------

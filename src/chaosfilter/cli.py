@@ -228,7 +228,14 @@ def _cmd_squeeze_probe(args):
     if not h > 0:
         raise ConfigError(f"[squeeze] h: must be positive, got {h}")
     n_samples = cfgmod.scalar(sec, "n_samples", int, 10000, "squeeze")
+    if n_samples < 1:
+        raise ConfigError(f"[squeeze] n_samples: must be at least 1, got {n_samples}")
     scales = cfgmod._floats(sec.get("scales", "1"))
+    if not scales:
+        raise ConfigError("[squeeze] scales: need at least one scale")
+    for s in scales:
+        if not (np.isfinite(s) and s > 0):
+            raise ConfigError(f"[squeeze] scales: must be positive and finite, got {s}")
     substeps = cfgmod.substeps_value(sec, "squeeze") or None
     seed = args.seed if args.seed is not None else cfgmod.scalar(sec, "seed", int, 0, "squeeze")
     from .dynamics import absorbing_radius

@@ -5,14 +5,16 @@ rho(L - D P) < 1 can exist, a bounded search that actually finds one at
 desk scale, and the construction of a quadratic norm in which a stable
 map is a strict contraction (the certificate the nonlinear theory's
 contraction hypothesis reduces to in the linear case).
+
+scipy is imported on first use, inside the gain search and the norm
+construction, so importing the package (and every subcommand but
+``detect``) does not load it.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
-from scipy.optimize import minimize_scalar
 
 #: eigenvalues with modulus above 1 - STABILITY_TOL count as not decaying
 STABILITY_TOL = 1e-9
@@ -71,6 +73,8 @@ class GainSearchResult:
 
 
 def _coordinate_descent(L, P, D, sweeps=8):
+    from scipy.optimize import minimize_scalar
+
     best = spectral_radius(L - D @ P)
     for _ in range(sweeps):
         improved = False
@@ -127,6 +131,8 @@ def contractive_norm(M, alpha_target=None):
 
     Returns ``(S, alpha)``; raises ValueError when M is not stable enough.
     """
+    from scipy.linalg import solve_discrete_lyapunov
+
     M = np.asarray(M, dtype=float)
     rho = spectral_radius(M)
     if alpha_target is None:

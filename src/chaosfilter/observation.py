@@ -41,7 +41,9 @@ class CoordinateProjection:
     def __init__(self, dim, observed, kind="coordinate-mask"):
         self.kind = kind
         self.dim = int(dim)
-        observed = np.unique(np.asarray(observed, dtype=int))
+        observed = np.asarray(observed, dtype=int).ravel()
+        # sorted distinct indices; np.unique would import numpy.ma (about 15 ms)
+        observed = np.array(sorted(set(observed.tolist())), dtype=int)
         if observed.size == 0:
             raise ValueError("at least one coordinate must be observed")
         if observed.min() < 0 or observed.max() >= self.dim:

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chaosfilter
 from chaosfilter import cli
 from chaosfilter.config import ConfigError, load_experiment_config, parse_matrix
 
@@ -325,6 +328,23 @@ OUT_OF_RANGE = {
     ),
     "squeeze-h-negative": ("squeeze-probe", SQUEEZE_TINY, "h = 0.01", "h = -0.01", "h"),
     "squeeze-h-zero": ("squeeze-probe", SQUEEZE_TINY, "h = 0.01", "h = 0", "h"),
+    "squeeze-n_samples-zero": (
+        "squeeze-probe", SQUEEZE_TINY, "n_samples = 50", "n_samples = 0", "n_samples"
+    ),
+    "squeeze-n_samples-negative": (
+        "squeeze-probe", SQUEEZE_TINY, "n_samples = 50", "n_samples = -3", "n_samples"
+    ),
+    "squeeze-scales-negative": (
+        "squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales = -1", "scales"
+    ),
+    "squeeze-scales-zero": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales = 0",
+                            "scales"),
+    "squeeze-scales-nan": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales = nan",
+                           "scales"),
+    "squeeze-scales-inf": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales = inf",
+                           "scales"),
+    "squeeze-scales-empty": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales =",
+                             "scales"),
 }
 
 
@@ -642,3 +662,61 @@ def test_subcommand_outputs_reproducible_across_runs(tmp_path):
     cli.main(["simulate", "--config", cfg, "--out", out, "--seed", "5"])
     second = open(out + "_observations.csv", "rb").read()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: nothing the test process imported leaks into them
+
+
+def _fresh_python(args, cwd):
+    """Run ``python args`` with the package under test importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chaosfilter.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+COLD_PATH = """
+import sys
+
+from chaosfilter import cli
+
+for argv in {runs!r}:
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded[:5]
+assert cli.main(["detect", "--config", {detect!r}]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_only_detect_loads_scipy(tmp_path):
+    tiny = write(tmp_path, TINY.format(out=str(tmp_path / "table.csv")), "tiny.cfg")
+    ns = write(tmp_path, NS_TINY.format(out=str(tmp_path / "ns.csv")), "ns.cfg")
+    squeeze = write(tmp_path, SQUEEZE_TINY, "squeeze.cfg")
+    sim = str(tmp_path / "sim")
+    runs = [
+        ["mse-table", "--config", tiny],
+        ["simulate", "--config", tiny, "--out", sim],
+        ["filter", "--config", tiny, "--obs", sim + "_observations.csv",
+         "--truth", sim + "_truth.csv", "--out", str(tmp_path / "run.csv")],
+        ["squeeze-probe", "--config", squeeze],
+        ["ns-demo", "--config", ns],
+    ]
+    code = COLD_PATH.format(runs=runs, detect=os.path.abspath(cfg_path("detect_rotation.cfg")))
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    detect = os.path.abspath(cfg_path("detect_rotation.cfg"))
+    proc = _fresh_python(["-m", "chaosfilter", "detect", "--config", detect], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "detectable: yes" in proc.stdout
+    missing = str(tmp_path / "missing.cfg")
+    proc = _fresh_python(["-m", "chaosfilter", "detect", "--config", missing], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("chaosfilter: config error:"), proc.stderr

@@ -41,6 +41,16 @@ def test_full_observation_and_empty_rejection():
         observation.coordinate_projection(4, [4])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=20))
+def test_observed_indices_are_sorted_and_distinct(indices):
+    P = observation.coordinate_projection(10, indices)
+    expected = np.unique(np.asarray(indices, dtype=int))
+    assert P.observed.dtype == expected.dtype
+    np.testing.assert_array_equal(P.observed, expected)
+    assert P.n_observed == expected.size
+
+
 def test_every_third_unobserved_pattern():
     P = observation.every_third_unobserved(6)
     assert P.observed.tolist() == [0, 1, 3, 4]

@@ -3,8 +3,9 @@
 One vectorized numpy build per kernel. States are batched row-wise: shape
 ``(n_batch, dim)`` float64 (complex128 for spectral coefficients), and the
 per-row arithmetic does not depend on the batch size. Behind that contract
-the Lorenz-63 kernel works in a ``(3, n_batch)`` layout with preallocated
-stage buffers, so its substeps allocate nothing.
+the Lorenz-63 kernel works in a ``(3, n_batch)`` layout, and both RK4
+kernels keep their stages in buffers allocated once per call, so their
+substeps allocate nothing.
 """
 
 import numpy as np
@@ -69,24 +70,54 @@ def lorenz96_rk4(u, nsub, dt, forcing):
     The field (s[i+1] - s[i-2]) s[i-1] - s[i] + forcing reads the cyclic
     neighbours as slices of one ghost-padded (n, d+3) buffer: columns
     2..d+1 hold the stage state, columns 0 and 1 copies of sites d-2 and
-    d-1, and column d+2 a copy of site 0.
+    d-1, and column d+2 a copy of site 0. The stages and the sum live in
+    buffers allocated once per call, and every constant is a 0-d array:
+    at one row a Python-float operand costs a ufunc call more than its
+    arithmetic.
     """
-    pad = np.empty((u.shape[0], u.shape[1] + 3), dtype=u.dtype)
+    n, d = u.shape
+    pad = np.empty((n, d + 3), dtype=u.dtype)
     s, p1, m2, m1 = pad[:, 2:-1], pad[:, 3:], pad[:, :-3], pad[:, 1:-2]
+    ghosts = ((pad[:, :2], pad[:, d:d + 2]), (pad[:, d + 2], pad[:, 2]))
+    k = np.empty((4, n, d), dtype=u.dtype)
+    k1, k2, k3, k4 = k
+    k23, twice = k[1:3], np.empty((2, n, d), dtype=u.dtype)
+    t = np.empty_like(k1)
+    forcing, half, full, sixth, two = (
+        np.array(c, dtype=u.dtype) for c in (forcing, 0.5 * dt, dt, dt / 6.0, 2.0)
+    )
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
-    def field(state):
-        s[...] = state
-        pad[:, :2] = state[:, -2:]
-        pad[:, -1] = state[:, 0]
-        return (p1 - m2) * m1 - s + forcing
+    def field(out):
+        # (p1 - m2) * m1 - s + forcing of the stage state in s; a slice
+        # assignment copies a short row faster than np.copyto
+        for ghost, site in ghosts:
+            ghost[...] = site
+        subtract(p1, m2, out)
+        multiply(out, m1, out)
+        subtract(out, s, out)
+        add(out, forcing, out)
+
+    def stage(prev, c, out):
+        # the field at u + c * prev
+        multiply(prev, c, t)
+        add(u, t, s)
+        field(out)
 
     u = u.copy()
     for _ in range(nsub):
-        k1 = field(u)
-        k2 = field(u + 0.5 * dt * k1)
-        k3 = field(u + 0.5 * dt * k2)
-        k4 = field(u + dt * k3)
-        u += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s[...] = u
+        field(k1)
+        stage(k1, half, k2)
+        stage(k2, half, k3)
+        stage(k3, full, k4)
+        # (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), added to the state
+        multiply(k23, two, twice)
+        add(k1, twice[0], t)
+        add(t, twice[1], t)
+        add(t, k4, t)
+        multiply(t, sixth, t)
+        add(u, t, u)
     return u
 
 

@@ -76,15 +76,31 @@ def _cmd_simulate(args):
     init_sampler = cfgmod.build_init_sampler(cfg.model, model)
     eps = cfg.epsilons[0]
     rng = observation.substream(cfg.seed, "simulate")
-    truth, obs = observation.generate_truth_and_observations(
+    steps = observation.truth_and_observation_steps(
         model, projection, noise, init_sampler, eps, cfg.n_steps, cfg.h, rng
     )
-    obs.seed_label = f"seed={cfg.seed}"
     prefix = args.out or os.path.splitext(cfg.out_path)[0]
     truth_path = f"{prefix}_truth.csv"
     obs_path = f"{prefix}_observations.csv"
-    observation.export_truth(truth, truth_path)
-    observation.export_observations(obs, projection, obs_path)
+    # each step's truth line and observation lines are written as soon as
+    # the step is computed, so no trajectory is held in memory
+    outputs = observation.outputs_on_success(truth_path, obs_path, obs_path + ".meta")
+    with outputs as (truth_tmp, obs_tmp, meta_tmp):
+        with (
+            open(truth_tmp, "w", newline="") as truth_fh,
+            open(obs_tmp, "w", newline="") as obs_fh,
+        ):
+            v, _ = next(steps)
+            is_complex = np.iscomplexobj(v)
+            truth = observation.TableWriter(truth_fh, "v", v)
+            observed = observation.ObservationWriter(obs_fh, projection, is_complex)
+            truth.write(0, v)
+            for j, (v, y) in enumerate(steps, start=1):
+                truth.write(j, v)
+                observed.write(j, y)
+        observation.write_observation_meta(
+            meta_tmp, eps, cfg.h, cfg.n_steps, v.shape[-1], is_complex, f"seed={cfg.seed}"
+        )
     print(f"wrote {truth_path} and {obs_path} (eps={eps:g}, steps={cfg.n_steps})")
     return 0
 
@@ -96,6 +112,21 @@ def _read_data(reader, path, what):
         raise ConfigError(f"{what} file not found: {exc.filename}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad {what} file: {exc}") from exc
+
+
+def _checked_states(states, n_steps):
+    """The truth states, with a malformed line, or fewer than ``n_steps + 1``
+    states, raised as a ConfigError when the reader reaches it."""
+    count = 0
+    try:
+        for count, state in enumerate(states, start=1):
+            yield state
+    except ValueError as exc:
+        raise ConfigError(f"bad truth file: {exc}") from exc
+    if count <= n_steps:
+        raise ConfigError(
+            f"truth file has {count} states, {n_steps} steps need {n_steps + 1}"
+        )
 
 
 def _cmd_filter(args):
@@ -111,30 +142,41 @@ def _cmd_filter(args):
         raise ConfigError(
             f"observation file has dimension {obs.ys.shape[1]}, model has {model.dim}"
         )
-    if np.any(projection.complement(obs.ys) != 0):
+    # one unobserved column at a time, so no temporary as large as ys
+    if any(np.any(obs.ys[:, i] != 0) for i in np.flatnonzero(~projection.mask)):
         raise ConfigError("observation file has values at indices the model does not observe")
+    for token in observation.index_tokens(projection, np.iscomplexobj(obs.ys)):
+        if token not in obs.tokens:
+            raise ConfigError(
+                f"observation file has no rows for index {token!r}, which the model observes"
+            )
     truth = None
     if args.truth:
-        truth = _read_data(observation.import_truth, args.truth, "truth")
-        if truth.shape[1] != model.dim:
-            raise ConfigError(
-                f"truth file has dimension {truth.shape[1]}, model has {model.dim}"
-            )
-        if truth.shape[0] <= obs.n_steps:
-            raise ConfigError(
-                f"truth file has {truth.shape[0]} states, {obs.n_steps} steps need "
-                f"{obs.n_steps + 1}"
-            )
-    estimator = cfgmod.build_filter_runner(
-        cfg.filters[0], model, projection, noise, init_sampler
-    ).at_eps(obs.eps)
-    rng = observation.substream(cfg.seed, "filter-cli")
-    run = estimator.run(model, obs, rng, truth=truth)
+        dim, states = _read_data(observation.read_truth, args.truth, "truth")
+        if dim != model.dim:
+            raise ConfigError(f"truth file has dimension {dim}, model has {model.dim}")
+        truth = _checked_states(states, obs.n_steps)
     out = args.out or cfg.out_path
-    filters.export_filter_run(run, out)
-    msg = f"wrote {out} ({run.kind}, {obs.n_steps} steps)"
-    if run.sq_errors is not None:
-        msg += f"; final squared error {run.sq_errors[-1]:.6g}"
+    # the truth is read in step with the estimator, and each row is written
+    # as it is produced
+    with observation.outputs_on_success(out) as (out_tmp,):
+        try:
+            estimator = cfgmod.build_filter_runner(
+                cfg.filters[0], model, projection, noise, init_sampler
+            ).at_eps(obs.eps)
+            rng = observation.substream(cfg.seed, "filter-cli")
+            with open(out_tmp, "w", newline="") as fh:
+                final = filters.write_filter_steps(
+                    model, estimator.steps(model, obs, rng), fh, truth
+                )
+        finally:
+            # every truth line is checked, and a bad truth file is reported
+            # before a failure of the run, as when it was read whole first
+            for _ in truth or ():
+                pass
+    msg = f"wrote {out} ({estimator.kind}, {obs.n_steps} steps)"
+    if final is not None:
+        msg += f"; final squared error {final:.6g}"
     print(msg)
     return 0
 

@@ -8,11 +8,11 @@ touching its behaviour in the ordinary regime.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .observation import write_table
+from .observation import TableWriter, write_table
 
 
 class FilterNumericsError(RuntimeError):
@@ -182,6 +182,18 @@ class FixedGainObserver:
             Z = project_ball_V(self.vnorm, self.radius, Z)
         return Z
 
+    def steps(self, model, observations, rng=None):
+        """Yield the :class:`FilterStep` of j = 0..J on one observation
+        sequence: this estimator at one row, forecast one model step at a
+        time (``rng`` is unused)."""
+        z = self.init(1)
+        yield FilterStep(z[0])
+        for j in range(observations.n_steps):
+            z = self.assimilate(
+                model.step_batch(z, observations.h), observations.ys[j : j + 1]
+            )
+            yield FilterStep(z[0])
+
     def run(self, model, observations, rng=None, truth=None):
         """Filter one observation sequence (``rng`` is unused)."""
         return run_observer(model, self, observations, truth=truth)
@@ -218,6 +230,15 @@ def default_ball_radius(model, vnorm=None) -> float:
 # filter runs
 
 
+class FilterStep(NamedTuple):
+    """One step of an estimator: its estimate and, for the particle filter,
+    the effective sample size and the posterior spread."""
+
+    estimate: np.ndarray
+    ess: Optional[float] = None
+    post_trace: Optional[float] = None
+
+
 @dataclass
 class FilterRun:
     """Per-step output of one estimator on one observation sequence."""
@@ -237,29 +258,56 @@ class FilterRun:
 
 def squared_norms(model, x):
     """Squared norm of a state, or of each row of a (n, dim) batch: the
-    Sobolev norm for spectral models, the Euclidean one otherwise."""
+    Sobolev norm for spectral models, the Euclidean one otherwise. A row
+    reduces on its own, so a state's norm is bit for bit its row's."""
     if hasattr(model, "grid"):
         return model.grid.h1_norm2(x)
     x = np.asarray(x)
     return np.real(np.sum(x * np.conj(x), axis=-1))
 
 
-def run_observer(model, observer: FixedGainObserver, observations, truth=None) -> FilterRun:
-    """Drive a fixed-gain observer through an observation sequence: the
-    row-batched estimator at one row, forecast one model step at a time."""
-    J = observations.n_steps
-    z = observer.init(1)
-    estimates = np.empty((J + 1,) + z.shape[1:], dtype=z.dtype)
-    estimates[0] = z[0]
-    for j in range(J):
-        z = observer.assimilate(
-            model.step_batch(z, observations.h), observations.ys[j : j + 1]
-        )
-        estimates[j + 1] = z[0]
-    run = FilterRun(kind=observer.kind, estimates=estimates)
-    if truth is not None:
-        run.sq_errors = squared_norms(model, truth[: J + 1] - estimates)
+def scored_steps(model, steps, truth=None):
+    """``(step, squared error)`` for each of an estimator's ``steps``, the
+    error against the matching state of ``truth`` (any iterable of states),
+    or None without a truth."""
+    if truth is None:
+        for step in steps:
+            yield step, None
+        return
+    for step, state in zip(steps, truth):
+        yield step, squared_norms(model, state - step.estimate)
+
+
+def collect_run(model, kind, steps, n_steps, truth=None) -> FilterRun:
+    """The :class:`FilterRun` of an estimator's ``steps`` j = 0..n_steps,
+    each stored into its row of preallocated arrays as it comes."""
+    run = None
+    for j, (step, sq_error) in enumerate(scored_steps(model, steps, truth)):
+        if run is None:
+            shape, dtype = (n_steps + 1,) + step.estimate.shape, step.estimate.dtype
+            run = FilterRun(kind=kind, estimates=np.empty(shape, dtype=dtype))
+            if truth is not None:
+                run.sq_errors = np.empty(n_steps + 1)
+            if step.ess is not None:
+                run.ess, run.post_trace = np.empty(n_steps + 1), np.empty(n_steps + 1)
+        run.estimates[j] = step.estimate
+        if run.sq_errors is not None:
+            run.sq_errors[j] = sq_error
+        if run.ess is not None:
+            run.ess[j], run.post_trace[j] = step.ess, step.post_trace
+    if run.ess is not None:
+        # the effective sample size is at least 1 while the weights are
+        # finite, and reads 0 from the step at which they degenerated
+        degenerate = np.flatnonzero(run.ess == 0.0)
+        if degenerate.size:
+            run.degenerate_at = int(degenerate[0])
     return run
+
+
+def run_observer(model, observer: FixedGainObserver, observations, truth=None) -> FilterRun:
+    """Drive a fixed-gain observer through an observation sequence."""
+    steps = observer.steps(model, observations)
+    return collect_run(model, observer.kind, steps, observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +410,7 @@ def systematic_resample(rng, weights):
     return np.searchsorted(np.cumsum(weights), positions).clip(0, n - 1)
 
 
-def particle_filter(
+def particle_steps(
     model,
     projection,
     noise,
@@ -373,10 +421,14 @@ def particle_filter(
     rng,
     resample_threshold=0.5,
     jitter=0.0,
-    truth=None,
-) -> FilterRun:
+):
     """Bootstrap filter: propagate through the signal map, reweight by the
     observation likelihood, resample when the effective sample size halves.
+    Yields the :class:`FilterStep` of j = 0..J as each is computed.
+
+    Once the weights degenerate (every log weight -inf or nan), the last
+    mean and spread are repeated with an effective sample size of 0, and
+    neither the model nor ``rng`` is called again.
 
     The dynamics are deterministic, so no process jitter is added by
     default; ``jitter`` > 0 enables an optional Gaussian perturbation for
@@ -390,16 +442,9 @@ def particle_filter(
     h = observations.h
     particles = init_sampler(rng, n_particles)
     logw = np.zeros(n_particles)
-    dim = particles.shape[1]
-    means = np.empty((J + 1, dim), dtype=particles.dtype)
-    post_trace = np.empty(J + 1)
-    ess_hist = np.empty(J + 1)
-    means[0] = particles.mean(axis=0)
-    post_trace[0] = float(
-        np.mean(np.sum(np.abs(particles - means[0]) ** 2, axis=1))
-    )
-    ess_hist[0] = n_particles
-    degenerate_at = None
+    mean = particles.mean(axis=0)
+    post_trace = float(np.mean(np.sum(np.abs(particles - mean) ** 2, axis=1)))
+    yield FilterStep(mean, n_particles, post_trace)
     for j in range(J):
         particles = model.step_batch(particles, h)
         if jitter > 0:
@@ -408,40 +453,48 @@ def particle_filter(
         logw = logw + noise.log_density(resid, eps)
         shift = logw.max()
         if not np.isfinite(shift):
-            degenerate_at = j + 1
-            means[j + 1 :] = means[j]
-            post_trace[j + 1 :] = post_trace[j]
-            ess_hist[j + 1 :] = 0.0
-            break
+            for _ in range(j, J):
+                yield FilterStep(mean, 0.0, post_trace)
+            return
         w = np.exp(logw - shift)
         w /= w.sum()
         mean = w @ particles
-        means[j + 1] = mean
-        post_trace[j + 1] = float(
-            np.real(w @ np.sum(np.abs(particles - mean) ** 2, axis=1))
-        )
+        post_trace = float(np.real(w @ np.sum(np.abs(particles - mean) ** 2, axis=1)))
         ess = 1.0 / float(w @ w)
-        ess_hist[j + 1] = ess
+        yield FilterStep(mean, ess, post_trace)
         if ess < resample_threshold * n_particles:
             idx = systematic_resample(rng, w)
             particles = particles[idx]
             logw = np.zeros(n_particles)
-    run = FilterRun(
-        kind="particle",
-        estimates=means,
-        ess=ess_hist,
-        post_trace=post_trace,
-        degenerate_at=degenerate_at,
+
+
+def particle_filter(
+    model,
+    projection,
+    noise,
+    eps,
+    n_particles,
+    init_sampler,
+    observations,
+    rng,
+    resample_threshold=0.5,
+    jitter=0.0,
+    truth=None,
+) -> FilterRun:
+    """The steps of :func:`particle_steps`, collected into a FilterRun."""
+    steps = particle_steps(
+        model, projection, noise, eps, n_particles, init_sampler, observations, rng,
+        resample_threshold=resample_threshold, jitter=jitter,
     )
-    if truth is not None:
-        run.sq_errors = squared_norms(model, truth[: J + 1] - means)
-    return run
+    return collect_run(model, "particle", steps, observations.n_steps, truth)
 
 
 class ParticleFilter:
     """Settings of the bootstrap particle filter. It runs one observation
     sequence at a time, on the random stream it is given (see
-    :func:`particle_filter`)."""
+    :func:`particle_steps`)."""
+
+    kind = "particle"
 
     def __init__(self, projection, noise, n_particles, init_sampler,
                  resample_threshold=0.5, jitter=0.0):
@@ -457,20 +510,20 @@ class ParticleFilter:
         eps from the observations it runs on."""
         return self
 
+    def steps(self, model, observations, rng):
+        """Yield the :class:`FilterStep` of j = 0..J on one observation sequence."""
+        return particle_steps(
+            model, self.projection, self.noise, observations.eps, self.n_particles,
+            self.init_sampler, observations, rng,
+            resample_threshold=self.resample_threshold, jitter=self.jitter,
+        )
+
     def run(self, model, observations, rng, truth=None) -> FilterRun:
         """Filter one observation sequence."""
         return particle_filter(
-            model,
-            self.projection,
-            self.noise,
-            observations.eps,
-            self.n_particles,
-            self.init_sampler,
-            observations,
-            rng,
-            resample_threshold=self.resample_threshold,
-            jitter=self.jitter,
-            truth=truth,
+            model, self.projection, self.noise, observations.eps, self.n_particles,
+            self.init_sampler, observations, rng,
+            resample_threshold=self.resample_threshold, jitter=self.jitter, truth=truth,
         )
 
 
@@ -481,3 +534,18 @@ class ParticleFilter:
 def export_filter_run(run: FilterRun, path):
     """Write per-step estimates (and squared errors / ESS when available)."""
     write_table(path, "m", run.estimates, [("sq_error", run.sq_errors), ("ess", run.ess)])
+
+
+def write_filter_steps(model, steps, fh, truth=None):
+    """Write each of an estimator's ``steps`` to the open file ``fh`` as it
+    is computed, in the rows :func:`export_filter_run` writes, with its
+    squared error against ``truth`` (any iterable of states) when given.
+    Returns the last squared error, or None without a truth."""
+    table = sq_error = None
+    for j, (step, sq_error) in enumerate(scored_steps(model, steps, truth)):
+        extra = {"sq_error": sq_error, "ess": step.ess}
+        extra = {name: value for name, value in extra.items() if value is not None}
+        if table is None:
+            table = TableWriter(fh, "m", step.estimate, list(extra))
+        table.write(j, step.estimate, *extra.values())
+    return sq_error

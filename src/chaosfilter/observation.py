@@ -11,8 +11,11 @@ independent substream via :func:`substream`, so trials can run in any
 order, or in parallel, without changing a single draw.
 """
 
+import contextlib
 import csv
 import hashlib
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,26 +233,33 @@ def spectral_smooth_init(grid, amplitude=1.0, decay=2.0):
 
 @dataclass
 class ObservationSequence:
-    """Observations y_1..y_J (row i holds y_{i+1}); Q y_j = 0 throughout."""
+    """Observations y_1..y_J (row i holds y_{i+1}); Q y_j = 0 throughout.
+
+    ``tokens`` holds the index tokens (see :func:`index_tokens`) that an
+    observation file carries at every step; it is empty for a generated
+    sequence."""
 
     eps: float
     h: float
     ys: np.ndarray
     seed_label: str = ""
+    tokens: frozenset = frozenset()
 
     @property
     def n_steps(self):
         return self.ys.shape[0]
 
 
-def generate_truth_and_observations(
+def truth_and_observation_steps(
     model, projection, noise, init_sampler, eps, n_steps, h, rng
 ):
-    """Run the signal map from a random start and observe it through noise.
+    """Run the signal map from a random start and observe it through noise,
+    one step at a time: yields ``(v_0, None)``, then ``(v_j, y_j)`` for
+    j = 1..n_steps as each step is computed.
 
     The generator is split into an initialization stream and a noise stream,
-    so the truth trajectory is identical for every eps under the same rng.
-    Returns ``(truth, observations)`` with truth of shape (n_steps+1, dim).
+    so the truth trajectory is identical for every eps under the same rng:
+    the start is drawn first, then one noise draw per step.
     """
     if n_steps < 1:
         raise ValueError("need at least one assimilation step")
@@ -257,82 +267,143 @@ def generate_truth_and_observations(
         raise ValueError("noise strength must be nonnegative")
     g_init, g_noise = rng.spawn(2)
     v = np.asarray(init_sampler(g_init))
-    truth = np.empty((n_steps + 1,) + v.shape, dtype=v.dtype)
-    ys = np.empty((n_steps,) + v.shape, dtype=v.dtype)
-    truth[0] = v
-    for j in range(n_steps):
+    yield v, None
+    for _ in range(n_steps):
         v = model.step(v, h)
-        truth[j + 1] = v
         w = noise.sample(g_noise)
-        ys[j] = projection.apply(v) + eps * w
+        yield v, projection.apply(v) + eps * w
+
+
+def generate_truth_and_observations(
+    model, projection, noise, init_sampler, eps, n_steps, h, rng
+):
+    """The steps of :func:`truth_and_observation_steps`, collected.
+
+    Returns ``(truth, observations)`` with truth of shape (n_steps+1, dim).
+    """
+    steps = list(truth_and_observation_steps(
+        model, projection, noise, init_sampler, eps, n_steps, h, rng
+    ))
+    truth = np.array([v for v, _ in steps])
+    ys = np.array([y for _, y in steps[1:]])
     return truth, ObservationSequence(eps=float(eps), h=float(h), ys=ys)
 
 
 # ---------------------------------------------------------------------------
 # CSV interchange
+#
+# Lines end in ``\r\n``, as ``csv.writer`` ends them, and no field needs
+# quoting. ``%.17g`` writes the same digits as ``format(x, ".17g")``.
 
 
 def _format(x):
     return format(float(x), ".17g")
 
 
-def _write_rows(path, header, fmt, rows):
-    """Write a header line, then ``fmt % row`` for every tuple of ``rows``.
-
-    Lines end in ``\r\n``, as ``csv.writer`` ends them, and no field needs
-    quoting. ``%.17g`` writes the same digits as ``format(x, ".17g")``.
-    The rows are streamed, never joined into one string.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(fmt % row for row in rows)
-
-
 def _split_complex(values):
-    """A float64 table of ``values`` in which each complex entry becomes its
-    real and then its imaginary column. It is a view, so no bit changes."""
+    """A float64 view of ``values`` in which each complex entry becomes its
+    real and then its imaginary part, so no bit changes."""
     values = np.ascontiguousarray(values)
     return values.view(np.float64) if np.iscomplexobj(values) else values
 
 
-def _parts(values):
-    return ("r", "i") if np.iscomplexobj(values) else ("",)
+def _parts(is_complex):
+    return ("r", "i") if is_complex else ("",)
+
+
+@contextlib.contextmanager
+def outputs_on_success(*paths):
+    """Yield a temporary path beside each of ``paths``. When the block
+    succeeds each temporary file is renamed over its path; when it raises,
+    the temporary files are removed, so a failed run leaves no output."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
+
+
+class TableWriter:
+    """Writes a table to an open file one row at a time: a header, then
+    ``j,<prefix>0,...`` for each state, a complex entry as its ``r`` and
+    ``i`` columns, followed by one column for each name of ``extra``."""
+
+    def __init__(self, fh, prefix, state, extra=()):
+        parts = _parts(np.iscomplexobj(state))
+        header = ["j"] + [f"{prefix}{i}{p}" for i in range(state.shape[-1]) for p in parts]
+        header += extra
+        fh.write(",".join(header) + "\r\n")
+        self._write = fh.write
+        self._fmt = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
+
+    def write(self, j, state, *extra):
+        self._write(self._fmt % (j, *_split_complex(state).tolist(), *extra))
 
 
 def write_table(path, prefix, values, extra=()):
-    """Write row j of the (n, d) ``values`` as ``j,<prefix>0,...``, a complex
-    entry as its ``r`` and ``i`` columns, followed by one column for each
-    ``(name, array)`` of ``extra`` whose array is not None."""
-    header = ["j"] + [f"{prefix}{i}{p}" for i in range(values.shape[1]) for p in _parts(values)]
-    header += [name for name, column in extra if column is not None]
-    columns = [column for _, column in extra if column is not None]
-    fmt = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
-    rows = enumerate(zip(_split_complex(values), *columns))
-    _write_rows(path, header, fmt, ((j, *row.tolist(), *more) for j, (row, *more) in rows))
+    """Write row j of the (n, d) ``values`` through a :class:`TableWriter`,
+    with one extra column for each ``(name, array)`` of ``extra`` whose
+    array is not None."""
+    extra = [(name, column) for name, column in extra if column is not None]
+    with open(path, "w", newline="") as fh:
+        table = TableWriter(fh, prefix, values, [name for name, _ in extra])
+        for j, (row, *more) in enumerate(zip(values, *(column for _, column in extra))):
+            table.write(j, row, *more)
+
+
+def index_tokens(projection, is_complex):
+    """The index tokens of the observed coordinates: ``3``, or ``3r`` and
+    ``3i`` for complex modes."""
+    return [f"{idx}{p}" for idx in projection.observed for p in _parts(is_complex)]
+
+
+class ObservationWriter:
+    """Writes observation rows to an open file one step at a time: a
+    header, then ``j,<index token>,value`` for each observed coordinate."""
+
+    def __init__(self, fh, projection, is_complex):
+        fh.write("j,index,value\r\n")
+        self._write = fh.write
+        self._observed = projection.observed
+        # one format per step: the step number goes in by str.format
+        tokens = index_tokens(projection, is_complex)
+        self._fmt = "".join(f"{{0}},{token},%.17g\r\n" for token in tokens)
+
+    def write(self, j, y):
+        self._write(self._fmt.format(j) % tuple(_split_complex(y[self._observed]).tolist()))
+
+
+def write_observation_meta(path, eps, h, n_steps, dim, is_complex, seed_label):
+    """Write the ``.meta`` sidecar of an observation file."""
+    meta = {
+        "eps": _format(eps),
+        "h": _format(h),
+        "n_steps": str(n_steps),
+        "dim": str(dim),
+        "complex": "1" if is_complex else "0",
+        "seed_label": seed_label,
+    }
+    with open(path, "w") as fh:
+        for key, val in meta.items():
+            fh.write(f"{key} = {val}\n")
 
 
 def export_observations(seq: ObservationSequence, projection, path):
     """Write (j, observed-index, value) rows; complex modes split into r/i."""
-    tokens = [f"{idx}{p}" for idx in projection.observed for p in _parts(seq.ys)]
-    # one line per (step, token); a step's lines share one format, fed
-    # from a table of alternating step numbers and values
-    values = _split_complex(seq.ys[:, projection.observed])
-    table = np.empty((values.shape[0], 2 * values.shape[1]))
-    table[:, 0::2] = np.arange(1, values.shape[0] + 1)[:, None]
-    table[:, 1::2] = values
-    fmt = "".join(f"%d,{token},%.17g\r\n" for token in tokens)
-    _write_rows(path, ["j", "index", "value"], fmt, (tuple(row.tolist()) for row in table))
-    meta = {
-        "eps": _format(seq.eps),
-        "h": _format(seq.h),
-        "n_steps": str(seq.n_steps),
-        "dim": str(seq.ys.shape[1]),
-        "complex": "1" if np.iscomplexobj(seq.ys) else "0",
-        "seed_label": seq.seed_label,
-    }
-    with open(str(path) + ".meta", "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key} = {val}\n")
+    is_complex = np.iscomplexobj(seq.ys)
+    with open(path, "w", newline="") as fh:
+        writer = ObservationWriter(fh, projection, is_complex)
+        for j, y in enumerate(seq.ys, start=1):
+            writer.write(j, y)
+    write_observation_meta(
+        str(path) + ".meta", seq.eps, seq.h, seq.n_steps, seq.ys.shape[1], is_complex,
+        seq.seed_label,
+    )
 
 
 def import_observations(path) -> ObservationSequence:
@@ -342,7 +413,9 @@ def import_observations(path) -> ObservationSequence:
     row that is not three fields of step, index token and number, on a
     malformed index token (an ``r``/``i`` suffix in a real file, or none in
     a complex one), on a step or index outside the ranges the ``.meta`` file
-    declares, and on a row that repeats an earlier one's step and index.
+    declares, on a row that repeats an earlier one's step and index, and on
+    a step that lacks an index token the file carries at other steps. The
+    rows may come in any order.
     """
     meta = {}
     with open(str(path) + ".meta") as fh:
@@ -394,11 +467,21 @@ def import_observations(path) -> ObservationSequence:
                 raise ValueError(f"{path}, line {line}: step {j}, index {token!r} given twice")
             seen[k] = 1
             flat[k] = value
+    # (step, column, token) of each carried token's first step without a row
+    gaps = [
+        (gap + 1, col, token)
+        for token, col in columns.items()
+        if (gap := seen[col::width].find(0)) >= 0
+    ]
+    if gaps:
+        j, _, token = min(gaps)
+        raise ValueError(f"{path}: step {j} has no row for index {token!r}")
     return ObservationSequence(
         eps=float(meta["eps"]),
         h=float(meta["h"]),
         ys=ys,
         seed_label=meta.get("seed_label", ""),
+        tokens=frozenset(columns),
     )
 
 
@@ -407,21 +490,32 @@ def export_truth(truth, path):
     write_table(path, "v", truth)
 
 
-def import_truth(path):
-    """Read back a trajectory written by :func:`export_truth`, bit for bit.
+def read_truth(path):
+    """Open a trajectory written by :func:`export_truth`.
 
-    Each line is parsed with ``float`` straight into its row of a float64
-    array; no table of strings is built. Raises ValueError naming the line
-    on a row whose field count differs from the header's or that holds a
-    bad number, and on a file that holds no states.
+    Returns its state dimension and an iterator over its states, each line
+    parsed with ``float`` into a float64 row when the iterator reaches it,
+    bit for bit; the r/i column pairs of a complex file are viewed as
+    complex128. The header is read here; the iterator closes the file at
+    its end. Raises ValueError on a header without state columns; the
+    iterator raises ValueError naming the line on a row whose field count
+    differs from the header's or that holds a bad number, and at the end of
+    a file that holds no states.
     """
-    with open(path) as fh:
+    fh = open(path)
+    try:
         header = fh.readline().rstrip("\n").split(",")
         width = len(header) - 1
         if width < 1:
             raise ValueError(f"{path} holds no states")
+    except BaseException:
+        fh.close()
+        raise
+    is_complex = header[-1].endswith("i")
 
-        def rows():
+    def states():
+        line = 1
+        with fh:
             for line, text in enumerate(fh, start=2):
                 fields = text.rstrip("\n").split(",")
                 if len(fields) != width + 1:
@@ -429,15 +523,20 @@ def import_truth(path):
                         f"{path}, line {line}: {len(fields)} fields, the header has {width + 1}"
                     )
                 try:
-                    values = [float(tok) for tok in fields[1:]]
+                    row = np.array([float(tok) for tok in fields[1:]])
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {line}: {exc}") from None
-                yield values
+                # the r/i column pairs are the memory layout of complex128
+                yield row.view(np.complex128) if is_complex else row
+        if line == 1:
+            raise ValueError(f"{path} holds no states")
 
-        data = np.fromiter(rows(), dtype=(np.float64, width))
-    if not len(data):
-        raise ValueError(f"{path} holds no states")
-    if header[-1].endswith("i"):
-        # the r/i column pairs are the memory layout of complex128
-        return data.view(np.complex128)
-    return data
+    return (width // 2 if is_complex else width), states()
+
+
+def import_truth(path):
+    """Read back a whole trajectory written by :func:`export_truth`, bit
+    for bit, as one array; raises ValueError as :func:`read_truth` does."""
+    dim, states = read_truth(path)
+    first = next(states)
+    return np.fromiter(itertools.chain([first], states), dtype=(first.dtype, dim))

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import chaosfilter
-from chaosfilter import cli
+from chaosfilter import cli, filters, observation
+from chaosfilter import config as cfgmod
 from chaosfilter.config import ConfigError, load_experiment_config, parse_matrix
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -374,6 +376,13 @@ def _repeat_first_row(obs, truth):
     _append(obs, open(obs).readlines()[1])
 
 
+def _drop_rows(keep):
+    def corrupt(obs, truth):
+        lines = open(obs).readlines()
+        open(obs, "w").writelines(lines[:1] + [ln for ln in lines[1:] if keep(ln.split(","))])
+    return corrupt
+
+
 def _drop_meta_key(key):
     def corrupt(obs, truth):
         lines = open(obs + ".meta").read().splitlines(keepends=True)
@@ -400,6 +409,8 @@ CORRUPTIONS = {
     "truth-bad-number": lambda obs, truth: _append(truth, "21," + "x," * 59 + "0\n"),
     "truth-short": lambda obs, truth: _drop_last_line(truth),
     "truth-empty": lambda obs, truth: open(truth, "w").write("j,v0\n"),
+    "missing-row": _drop_rows(lambda row: row[:2] != ["1", "0"]),
+    "missing-index": _drop_rows(lambda row: row[1] != "0"),
 }
 
 
@@ -425,9 +436,8 @@ def test_corrupted_observation_files_exit_one(tmp_path, capsys, corruption):
     assert "Traceback" not in err
 
 
-def test_numerical_failure_exits_two(tmp_path, capsys):
-    # a single RK4 substep across h = 2 on the cyclic model overflows
-    text = """
+# a single RK4 substep across h = 2 on the cyclic model overflows
+BLOWUP = """
 [model]
 kind = lorenz96
 dimension = 6
@@ -450,9 +460,104 @@ seed = 3
 [output]
 path = x.csv
 """
-    cfg = write(tmp_path, text, "blowup.cfg")
+
+
+def test_numerical_failure_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, BLOWUP, "blowup.cfg")
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    # no truth, observation or .meta file, and no temporary file
+    assert os.listdir(tmp_path) == ["blowup.cfg"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure,code", [
+    ("truth-short", 1), ("blow-up", 2), ("blow-up-and-bad-truth", 1),
+])
+def test_failed_filter_leaves_no_output(tmp_path, capsys, failure, code):
+    # the untruncated observer, which the ball does not hold back
+    cfg = write(tmp_path, BLOWUP.replace("= truncated-observer", "= observer"), "blowup.cfg")
+    sim_cfg = write(tmp_path, BLOWUP.replace("h = 2", "h = 0.01"), "sim.cfg")
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", sim_cfg, "--out", sim]) == 0
+    obs, truth = sim + "_observations.csv", sim + "_truth.csv"
+    if failure == "truth-short":
+        _drop_last_line(truth)
+    else:
+        # the filter steps over the observation file's h
+        meta = open(obs + ".meta").read()
+        open(obs + ".meta", "w").write(meta.replace("h = 0.01", "h = 2"))
+    if failure == "blow-up-and-bad-truth":
+        # a bad truth line past the blow-up is still reported, as a config error
+        _append(truth, "2001,x,0,0,0,0,0\n")
+    before = sorted(os.listdir(tmp_path))
+    argv = ["filter", "--config", cfg, "--obs", obs, "--truth", truth,
+            "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+L96_60 = """
+[model]
+kind = lorenz96
+dimension = 60
+
+[observation]
+kind = every-third-unobserved
+
+[filter:trunc]
+kind = truncated-observer
+
+[experiment]
+epsilons = 0.1
+h = 0.01
+T = {T}
+n_inits = 1
+n_noise = 1
+seed = 11
+"""
+
+
+def _traced_peak(argv):
+    """Peak traced allocation, in bytes, of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_filter_memory_does_not_grow_with_trajectory_length(tmp_path, capsys):
+    peaks = {}
+    for T in (1, 1, 4):  # the first run loads what a run loads once
+        cfg = write(tmp_path, L96_60.format(T=T))
+        sim = str(tmp_path / "sim")
+        peaks[T] = (
+            _traced_peak(["simulate", "--config", cfg, "--out", sim]),
+            _traced_peak(["filter", "--config", cfg, "--obs", sim + "_observations.csv",
+                          "--truth", sim + "_truth.csv", "--out", str(tmp_path / "run.csv")]),
+        )
+    capsys.readouterr()
+    (sim_1, filter_1), (sim_4, filter_4) = peaks[1], peaks[4]
+    assert abs(sim_4 - sim_1) < 64 * 1024, (sim_1, sim_4)
+    # the observation input is the one thing that grows: 8-byte values and
+    # a 1-byte map of the rows seen, for 300 more steps of 60 sites
+    assert filter_4 - filter_1 <= 300 * 60 * (8 + 1) + 64 * 1024, (filter_1, filter_4)
+
+
+def test_values_at_unobserved_indices_are_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, BLOWUP.replace("h = 2", "h = 0.01"), "sim.cfg")
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", cfg, "--out", sim]) == 0
+    obs = sim + "_observations.csv"
+    # index 2 is unobserved; it is given at every step, so the file is complete
+    _append(obs, "".join(f"{j},2,0.5\n" for j in range(1, 2001)))
+    argv = ["filter", "--config", cfg, "--obs", obs, "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "values at indices the model does not observe" in err
 
 
 def test_zero_noise_with_particle_filter_rejected(tmp_path, capsys):
@@ -510,6 +615,40 @@ def test_simulate_then_filter_round_trip(tmp_path, capsys):
     code = cli.main(["filter", "--config", cfg, "--obs", obs, "--out", run_out])
     assert code == 0
     assert "final squared error" not in capsys.readouterr().out
+
+
+FILTER_SECTIONS = {
+    "truncated-observer": "kind = truncated-observer",
+    "3dvar": "kind = 3dvar\nsigma2 = 1.0",
+    "particle": "kind = particle\nn_particles = 50\njitter = 0.02",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILTER_SECTIONS))
+def test_filter_streams_the_rows_of_the_collected_run(tmp_path, capsys, kind):
+    text = TINY.replace("kind = truncated-observer", FILTER_SECTIONS[kind])
+    cfg = write(tmp_path, text.format(out="o.csv"))
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", cfg, "--out", sim]) == 0
+    obs, truth = sim + "_observations.csv", sim + "_truth.csv"
+    streamed = tmp_path / "streamed.csv"
+    argv = ["filter", "--config", cfg, "--obs", obs, "--truth", truth, "--out", str(streamed)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # the same filter run whole, in memory, on the same random stream
+    exp = load_experiment_config(cfg)
+    model = cfgmod.build_model(exp.model)
+    projection = cfgmod.build_projection(exp.observation, model)
+    noise = cfgmod.build_noise(exp.noise, projection)
+    init_sampler = cfgmod.build_init_sampler(exp.model, model)
+    seq = observation.import_observations(obs)
+    estimator = cfgmod.build_filter_runner(
+        exp.filters[0], model, projection, noise, init_sampler
+    ).at_eps(seq.eps)
+    rng = observation.substream(exp.seed, "filter-cli")
+    run = estimator.run(model, seq, rng, truth=observation.import_truth(truth))
+    filters.export_filter_run(run, tmp_path / "whole.csv")
+    assert streamed.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_filter_requires_single_filter_section(tmp_path):
@@ -709,6 +848,19 @@ def test_only_detect_loads_scipy(tmp_path):
     code = COLD_PATH.format(runs=runs, detect=os.path.abspath(cfg_path("detect_rotation.cfg")))
     proc = _fresh_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_slope_fit_does_not_load_numpy_ma(tmp_path):
+    text = TINY.replace("epsilons = 0.5 0.1", "epsilons = 0.5 0.1 0.05")
+    cfg = write(tmp_path, text.format(out=str(tmp_path / "table.csv")))
+    code = (
+        "import sys\nfrom chaosfilter import cli\n"
+        f"assert cli.main(['mse-table', '--config', {cfg!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "scaling slope[trunc]" in proc.stdout
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaosfilter import dynamics, filters, observation
 from chaosfilter.harness import DiscreteMapModel
 from chaosfilter.observation import ObservationSequence
-from chaosfilter.spectral import SpectralGrid
+from chaosfilter.spectral import SpectralGrid, navier_stokes_spectral
 
 
 def l63_setup():
@@ -474,6 +476,28 @@ def test_systematic_resample_preserves_distribution():
     counts = np.bincount(idx, minlength=1000) / 1000.0
     # systematic resampling keeps counts within 1/N of expectation
     assert np.abs(counts - w).max() <= 1.0 / 1000.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(1, 300),
+    spectral=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_squared_norm_of_a_state_is_its_batch_row(n, d, spectral, scale, seed):
+    rng = np.random.default_rng(seed)
+    if spectral:
+        model = navier_stokes_spectral(0.5, {(1, 0): 1.0}, 8)
+        r = model.grid.n_reps
+        x = scale * (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+    else:
+        model = dynamics.lorenz63()
+        x = scale * rng.standard_normal((n, d))
+    batch = filters.squared_norms(model, x)
+    rows = np.array([filters.squared_norms(model, row) for row in x])
+    assert rows.tobytes() == batch.tobytes()
 
 
 def test_export_filter_run_round_trip_columns(tmp_path):

@@ -333,6 +333,25 @@ def test_repeated_observation_rows_are_rejected(tmp_path):
         observation.import_observations(path)
 
 
+def test_missing_observation_rows_are_rejected(tmp_path):
+    ys = np.array([[1.5, 0.0, 2.5], [2.0, 0.0, -1.0], [0.5, 0.0, 3.0]])
+    seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=ys)
+    path = tmp_path / "obs.csv"
+    observation.export_observations(seq, observation.CoordinateProjection(3, [0, 2]), path)
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    assert rows[3] == b"2,2,-1\r\n"
+    # rows may come in any order
+    path.write_bytes(b"".join([header] + rows[::-1]))
+    back = observation.import_observations(path)
+    assert back.ys.tobytes() == ys.tobytes() and back.tokens == {"0", "2"}
+    # an index no step carries is not missing from any one step
+    path.write_bytes(b"".join([header] + rows[0::2]))
+    assert observation.import_observations(path).tokens == {"0"}
+    path.write_bytes(b"".join([header] + rows[:3] + rows[4:]))
+    with pytest.raises(ValueError, match=r"step 2 has no row for index '2'"):
+        observation.import_observations(path)
+
+
 # awkward values every writer must carry through: signed zeros, subnormals,
 # magnitudes near the float limits and infinities
 SPECIAL_FLOATS = [

@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def seed(text):
+    """A master seed: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="chaosfilter",
@@ -40,7 +48,7 @@ def build_parser() -> _Parser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
+        p.add_argument("--seed", type=seed, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output path override")
         p.add_argument(
             "--threads",
@@ -201,32 +209,25 @@ def _cmd_mse_table(args):
 
 def _cmd_detect(args):
     parser = cfgmod.read_config_file(args.config)
-    if not parser.has_section("linear"):
-        raise ConfigError("detect needs a [linear] section")
-    sec = dict(parser.items("linear"))
-    if "l" not in sec:
-        raise ConfigError("[linear] must define the signal map L")
-    L = cfgmod.parse_matrix(sec["l"])
+    linear = dict(parser.items("linear")) if parser.has_section("linear") else {}
+    sec = cfgmod.typed("linear", linear)  # without the section, the required L is named
+    L = sec["l"]
     d = L.shape[0]
     if L.shape != (d, d):
         raise ConfigError(f"the signal map L must be square, got {d}x{L.shape[1]}")
-    if "p" in sec:
-        P = cfgmod.parse_matrix(sec["p"])
+    if sec["p"] is not None:
+        P = sec["p"]
         if P.shape[1] != d:
             raise ConfigError(f"P has {P.shape[1]} columns, L needs {d}")
-    elif "observed" in sec:
+    elif sec["observed"] is not None:
         mask = np.zeros(d)
-        for idx in cfgmod._ints(sec["observed"]):
-            if not 0 <= idx < d:
+        for idx in sec["observed"]:
+            if idx >= d:
                 raise ConfigError(f"observed index {idx} out of range")
             mask[idx] = 1.0
         P = np.diag(mask)
     else:
         raise ConfigError("[linear] must define 'p' or 'observed'")
-    try:
-        budget = int(sec.get("budget", 20))
-    except ValueError:
-        raise ConfigError(f"budget must be an integer, got {sec['budget']!r}") from None
 
     verdict = linear_theory.hautus_detectable(L, P)
     print(f"signal map: {d}x{d}, spectral radius {linear_theory.spectral_radius(L):.6g}")
@@ -238,7 +239,7 @@ def _cmd_detect(args):
         print(f"witness eigenvalue: {w.real:.6g}{w.imag:+.6g}j (|lambda| = {abs(w):.6g})")
     equiv = linear_theory.detectability_shift_equivalence(L, P)
     print(f"shift equivalence (P vs PL): {'consistent' if equiv else 'INCONSISTENT'}")
-    result = linear_theory.find_gain(L, P, budget=budget)
+    result = linear_theory.find_gain(L, P, budget=sec["budget"])
     print(f"best gain search: rho(L - D P) = {result.radius:.6g} "
           f"({'success' if result.success else 'no stabilizing gain found'})")
     if result.success:
@@ -261,33 +262,20 @@ def _cmd_squeeze_probe(args):
     obs_spec = dict(parser.items("observation")) if parser.has_section("observation") else {}
     if not parser.has_section("squeeze"):
         raise ConfigError("squeeze-probe needs a [squeeze] section")
-    sec = dict(parser.items("squeeze"))
+    sec = cfgmod.typed("squeeze", dict(parser.items("squeeze")))
     model = cfgmod.build_model(model_spec)
     projection = cfgmod.build_projection(obs_spec, model)
     vnorm = cfgmod.default_vnorm(model, projection)
     gain = filters.Gain.identity_on_observed(projection)
-    h = cfgmod.scalar(sec, "h", float, 0.01, "squeeze")
-    if not h > 0:
-        raise ConfigError(f"[squeeze] h: must be positive, got {h}")
-    n_samples = cfgmod.scalar(sec, "n_samples", int, 10000, "squeeze")
-    if n_samples < 1:
-        raise ConfigError(f"[squeeze] n_samples: must be at least 1, got {n_samples}")
-    scales = cfgmod._floats(sec.get("scales", "1"))
-    if not scales:
-        raise ConfigError("[squeeze] scales: need at least one scale")
-    for s in scales:
-        if not (np.isfinite(s) and s > 0):
-            raise ConfigError(f"[squeeze] scales: must be positive and finite, got {s}")
-    substeps = cfgmod.substeps_value(sec, "squeeze") or None
-    seed = args.seed if args.seed is not None else cfgmod.scalar(sec, "seed", int, 0, "squeeze")
     from .dynamics import absorbing_radius
 
     r = absorbing_radius(model)
     R = filters.default_ball_radius(model, vnorm)
-    r_pairs = [(s * r, s * R) for s in scales]
-    rng = observation.substream(seed, "squeeze")
+    r_pairs = [(s * r, s * R) for s in sec["scales"]]
+    rng = observation.substream(sec["seed"] if args.seed is None else args.seed, "squeeze")
     result = harness.empirical_squeezing(
-        model, projection, gain, vnorm, h, r_pairs, n_samples, rng, substeps=substeps
+        model, projection, gain, vnorm, sec["h"], r_pairs, sec["n_samples"], rng,
+        substeps=sec["substeps"] or None,
     )
     print(f"{'r_signal':>12}{'r_estimator':>13}{'alpha_hat':>12}{'frac>1':>10}")
     for e in result.entries:

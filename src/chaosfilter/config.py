@@ -1,10 +1,11 @@
 """Experiment configuration: flat key-value files with one section per concern.
 
 A config file has ``[model]``, ``[observation]``, ``[noise]``,
-``[experiment]`` and one or more ``[filter:<name>]`` sections (plus
-``[linear]`` / ``[squeeze]`` blocks for the corresponding subcommands).
-Values are plain scalars or whitespace-separated lists; matrices use
-semicolon-separated rows.
+``[experiment]``, ``[output]`` and one or more ``[filter:<name>]`` sections
+(plus ``[linear]`` / ``[squeeze]`` for those subcommands). Values are plain
+scalars or whitespace-separated lists; matrices use semicolon-separated
+rows. :data:`SCHEMA` is the reference for every key, its default and its
+range; :func:`typed` rejects unknown sections, kinds and keys.
 """
 
 import configparser
@@ -19,44 +20,150 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
-def _numbers(text, kind, what):
-    out = []
-    for tok in text.replace(",", " ").split():
-        try:
-            out.append(kind(tok))
-        except ValueError:
-            raise ConfigError(f"bad {what} {tok!r} in {text!r}") from None
-    return out
+def _each(kind):
+    """Parser of a whitespace- or comma-separated list of ``kind``."""
+    return lambda text: [kind(tok) for tok in text.replace(",", " ").split()]
 
 
-def _floats(text):
-    return _numbers(text, float, "number")
-
-
-def _ints(text):
-    return _numbers(text, int, "integer")
-
-
-def scalar(spec, key, kind, default, section):
-    """``spec[key]`` read as one ``kind`` (int or float), ``default`` when
-    the key is absent; a bad token is a ConfigError naming section and key."""
-    if key not in spec:
-        return default
-    token = spec[key]
-    try:
-        return kind(token)
-    except (TypeError, ValueError):
-        what = "integer" if kind is int else "number"
-        raise ConfigError(f"[{section}] {key}: bad {what} {token!r}") from None
+_ints, _floats = _each(int), _each(float)
 
 
 def parse_matrix(text):
-    rows = [r for r in text.split(";") if r.strip()]
-    mat = [_floats(r) for r in rows]
-    width = {len(r) for r in mat}
-    if len(width) != 1:
+    rows = [_floats(r) for r in text.split(";") if r.strip()]
+    if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"ragged matrix literal: {text!r}")
-    return np.array(mat)
+    return np.array(rows)
+
+
+def _at_least(n):
+    return (lambda v: v >= n, f"need at least {n}")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
+
+
+REQUIRED = object()  # the default of a key that must be given
+# (range test, requirement text); nan fails every test
+_POSITIVE = (lambda v: 0 < v < np.inf, "must be positive and finite")
+_FINITE = (lambda v: -np.inf < v < np.inf, "must be finite")
+_FINITE_MATRIX = (lambda m: np.isfinite(m).all(), "must be finite")
+_GAIN = (str, "identity", *_one_of("identity", "zero"))
+
+#: section -> kind (None: keys every kind takes) -> key ->
+#: (parse, default or REQUIRED, range test or None, requirement text).
+#: Checks that involve more than one key stay with the builders and detect.
+SCHEMA = {
+    "model": {
+        # substeps 0: the model's own default
+        None: {"kind": (str, REQUIRED, None, None), "substeps": (int, 0, *_at_least(0))},
+        "lorenz63": {},
+        "lorenz96": {"dimension": (int, REQUIRED, lambda d: d >= 6 and d % 3 == 0,
+                                   "must be a multiple of 3 and at least 6")},
+        "navier-stokes": {
+            "viscosity": (float, REQUIRED, *_POSITIVE),
+            "k_max": (int, REQUIRED, *_at_least(1)),
+            "period": (float, 2.0 * np.pi, *_POSITIVE),
+            "forcing_mode": (_ints, (1, 0), lambda m: len(m) == 2 and any(m),
+                             "need two integers n1 n2, not both 0"),
+            "forcing_amplitude": (float, 1.0, *_FINITE),
+            "init_amplitude": (float, 1.0, *_FINITE),
+            "init_decay": (float, 2.0, *_FINITE),
+        },
+    },
+    "observation": {
+        None: {"kind": (str, REQUIRED, None, None)},
+        "coordinate-mask": {"observed": (_ints, REQUIRED, lambda v: len(v) > 0 and min(v) >= 0,
+                                         "need at least one index, each nonnegative")},
+        "every-third-unobserved": {},
+        "fourier-cutoff": {"lam": (float, 0.0, lambda v: v >= 0, "must be nonnegative")},
+    },
+    "noise": {
+        None: {"kind": (str, "gaussian-observed", None, None)},
+        "gaussian-observed": {
+            "normalization": (str, "unit-total", *_one_of("unit-total", "per-coordinate")),
+        },
+        "spectral-mode": {},
+    },
+    "filter:<name>": {
+        None: {"kind": (str, REQUIRED, None, None)},
+        "observer": {"gain": _GAIN},
+        "truncated-observer": {"gain": _GAIN, "radius_scale": (float, 1.0, *_POSITIVE)},
+        "3dvar": {"sigma2": (float, 1.0, *_POSITIVE)},
+        "particle": {
+            "n_particles": (int, 1000, *_at_least(2)),
+            "resample_threshold": (float, 0.5, lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+            "jitter": (float, 0.0, lambda v: 0 <= v < np.inf, "must be nonnegative and finite"),
+        },
+    },
+    "experiment": {None: {
+        "epsilons": (_floats, REQUIRED, lambda v: len(v) > 0 and all(0 <= e < np.inf for e in v),
+                     "need at least one noise strength, each nonnegative and finite"),
+        "h": (float, REQUIRED, *_POSITIVE),
+        "t": (float, REQUIRED, *_POSITIVE),  # T: configparser lowercases keys
+        "n_inits": (int, 1, *_at_least(1)),
+        "n_noise": (int, 1, *_at_least(1)),
+        "seed": (int, 0, *_at_least(0)),
+        "mse_mode": (str, "final", *_one_of("final", "time-averaged")),
+    }},
+    "output": {None: {"path": (str, "report.csv", None, None)}},
+    "linear": {None: {
+        "l": (parse_matrix, REQUIRED, *_FINITE_MATRIX),
+        "p": (parse_matrix, None, *_FINITE_MATRIX),
+        "observed": (_ints, None, lambda v: min(v, default=0) >= 0, "must be nonnegative"),
+        "budget": (int, 20, *_at_least(0)),
+    }},
+    "squeeze": {None: {
+        "h": (float, 0.01, *_POSITIVE),
+        "n_samples": (int, 10000, *_at_least(1)),
+        "scales": (_floats, (1.0,), lambda v: len(v) > 0 and all(0 < s < np.inf for s in v),
+                   "need at least one scale, each positive and finite"),
+        "substeps": (int, 0, *_at_least(0)),
+        "seed": (int, 0, *_at_least(0)),
+    }},
+}
+
+
+def _read(section, spec, rows):
+    values = {}
+    for key, (parse, default, test, need) in rows.items():
+        if key not in spec:
+            if default is REQUIRED:
+                raise ConfigError(f"[{section}] {key}: required")
+            values[key] = default
+            continue
+        raw = value = spec[key]
+        if isinstance(raw, str):
+            try:
+                value = parse(raw)
+            except ValueError:
+                what = {int: "integer", _ints: "integer", parse_matrix: "matrix"}.get(parse)
+                raise ConfigError(f"[{section}] {key}: bad {what or 'number'} {raw!r}") from None
+        if test is not None and not test(value):
+            raise ConfigError(f"[{section}] {key}: {need}, got {raw!r}")
+        values[key] = value
+    return values
+
+
+def typed(section, spec):
+    """The keys of config section ``section`` (``"model"``, ``"filter:pf"``,
+    ...) parsed and range-checked against :data:`SCHEMA`, defaults filled in.
+    ``spec`` maps keys to their text, or to values already parsed, which are
+    range-checked only."""
+    table = SCHEMA.get("filter:<name>" if section.startswith("filter:") else section)
+    if table is None:
+        raise ConfigError(f"[{section}]: unknown section; known: {', '.join(SCHEMA)}")
+    rows = table[None]
+    if "kind" in rows:
+        kind = _read(section, spec, {"kind": rows["kind"]})["kind"]
+        kinds = [k for k in table if k is not None]
+        if kind not in kinds:
+            raise ConfigError(f"[{section}] kind: must be one of {', '.join(kinds)}, got {kind!r}")
+        rows = {**rows, **table[kind]}
+    for key in spec:
+        if key not in rows:
+            raise ConfigError(f"[{section}] {key}: unknown key; known: {', '.join(sorted(rows))}")
+    return _read(section, spec, rows)
 
 
 @dataclass
@@ -75,24 +182,14 @@ class ExperimentConfig:
     out_path: str = "report.csv"
 
     def __post_init__(self):
-        if self.h <= 0 or self.T <= 0:
-            raise ConfigError("h and T must be positive")
+        exp = {k: getattr(self, "T" if k == "t" else k) for k in SCHEMA["experiment"][None]}
+        typed("experiment", exp)
         steps = self.T / self.h
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"T={self.T} is not an integer multiple of h={self.h}")
-        if self.n_inits < 1 or self.n_noise < 1:
-            raise ConfigError("n_inits and n_noise must be at least 1")
-        if len(self.epsilons) == 0:
-            raise ConfigError("need at least one noise strength")
-        if any(e < 0 for e in self.epsilons):
-            raise ConfigError("noise strengths must be nonnegative")
-        if self.mse_mode not in ("final", "time-averaged"):
-            raise ConfigError(f"unknown mse_mode {self.mse_mode!r}")
         if not self.filters:
             raise ConfigError("no [filter:...] section configured")
-        if any(e == 0 for e in self.epsilons) and any(
-            spec.get("kind") == "particle" for spec in self.filters
-        ):
+        if 0 in self.epsilons and any(spec.get("kind") == "particle" for spec in self.filters):
             raise ConfigError("the particle filter needs a positive noise strength")
 
     @property
@@ -126,99 +223,54 @@ class ExperimentConfig:
 # builders
 
 
-def substeps_value(spec, section):
-    """``substeps`` of a section: 0 or absent means the model default."""
-    substeps = scalar(spec, "substeps", int, 0, section) if spec.get("substeps") else 0
-    if substeps < 0:
-        raise ConfigError(f"[{section}] substeps: must be nonnegative, got {substeps}")
-    return substeps
-
-
 def build_model(spec):
-    kind = spec.get("kind")
-    substeps = substeps_value(spec, "model")
+    m = typed("model", spec)
+    kind, substeps = m["kind"], m["substeps"]
     if kind == "lorenz63":
         return dynamics.lorenz63(substeps=substeps or 10)
     if kind == "lorenz96":
-        dim = scalar(spec, "dimension", int, 0, "model")
-        if dim < 6 or dim % 3:
-            raise ConfigError(
-                f"[model] dimension: must be a multiple of 3 and at least 6, got {dim}"
-            )
-        return dynamics.lorenz96(dim, substeps=substeps or 10)
-    if kind == "navier-stokes":
-        for key in ("viscosity", "k_max"):
-            if key not in spec:
-                raise ConfigError(f"navier-stokes model needs {key!r}")
-        nu = scalar(spec, "viscosity", float, None, "model")
-        k_max = scalar(spec, "k_max", int, None, "model")
-        period = scalar(spec, "period", float, 2.0 * np.pi, "model")
-        mode = _ints(str(spec.get("forcing_mode", "1 0")))
-        amp = complex(scalar(spec, "forcing_amplitude", float, 1.0, "model"))
-        if not (np.isfinite(nu) and nu > 0):
-            raise ConfigError(f"[model] viscosity: must be positive and finite, got {nu}")
-        if k_max < 1:
-            raise ConfigError(f"[model] k_max: must be at least 1, got {k_max}")
-        if len(mode) != 2 or mode == [0, 0] or max(map(abs, mode)) > k_max:
-            raise ConfigError(
-                f"[model] forcing_mode: need two integers n1 n2, not both 0, with "
-                f"|n1|, |n2| <= k_max = {k_max}; got {spec.get('forcing_mode')!r}"
-            )
-        return spectral.navier_stokes_spectral(
-            nu, {tuple(mode): amp}, k_max, period=period, substeps=substeps or 5
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return dynamics.lorenz96(m["dimension"], substeps=substeps or 10)
+    k_max, mode = m["k_max"], m["forcing_mode"]
+    if max(map(abs, mode)) > k_max:
+        raise ConfigError(f"[model] forcing_mode: need |n1|, |n2| <= k_max = {k_max}, got {mode}")
+    return spectral.navier_stokes_spectral(
+        m["viscosity"], {tuple(mode): complex(m["forcing_amplitude"])}, k_max,
+        period=m["period"], substeps=substeps or 5,
+    )
 
 
 def build_projection(spec, model):
-    kind = spec.get("kind")
-    if kind == "coordinate-mask":
-        observed = _ints(str(spec.get("observed", "")))
-        if not observed:
-            raise ConfigError("coordinate-mask needs an 'observed' index list")
-        try:
-            return observation.coordinate_projection(model.dim, observed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "every-third-unobserved":
-        try:
+    o = typed("observation", spec)
+    kind = o["kind"]
+    if kind == "fourier-cutoff" and not hasattr(model, "grid"):
+        raise ConfigError("fourier-cutoff applies to spectral models only")
+    try:
+        if kind == "coordinate-mask":
+            return observation.coordinate_projection(model.dim, o["observed"])
+        if kind == "every-third-unobserved":
             return observation.every_third_unobserved(model.dim)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "fourier-cutoff":
-        if not hasattr(model, "grid"):
-            raise ConfigError("fourier-cutoff applies to spectral models only")
-        lam = scalar(spec, "lam", float, 0.0, "observation")
-        try:
-            return observation.fourier_cutoff(model.grid, lam)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown observation kind {kind!r}")
+        return observation.fourier_cutoff(model.grid, o["lam"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_noise(spec, projection):
-    kind = spec.get("kind", "gaussian-observed")
-    if kind == "gaussian-observed":
-        norm = spec.get("normalization", "unit-total")
-        if norm not in ("unit-total", "per-coordinate"):
-            raise ConfigError(f"unknown noise normalization {norm!r}")
+    n = typed("noise", spec)
+    if n["kind"] == "gaussian-observed":
         if not isinstance(projection, observation.CoordinateProjection):
             raise ConfigError("gaussian-observed noise applies to coordinate masks")
         return observation.GaussianObservedNoise(
-            projection, per_coordinate=(norm == "per-coordinate")
+            projection, per_coordinate=(n["normalization"] == "per-coordinate")
         )
-    if kind == "spectral-mode":
-        if not isinstance(projection, observation.FourierCutoff):
-            raise ConfigError("spectral-mode noise applies to fourier cutoffs")
-        return observation.SpectralModeNoise(projection)
-    raise ConfigError(f"unknown noise kind {kind!r}")
+    if not isinstance(projection, observation.FourierCutoff):
+        raise ConfigError("spectral-mode noise applies to fourier cutoffs")
+    return observation.SpectralModeNoise(projection)
 
 
 def build_init_sampler(model_spec, model):
     if hasattr(model, "grid"):
-        amp = scalar(model_spec, "init_amplitude", float, 1.0, "model")
-        decay = scalar(model_spec, "init_decay", float, 2.0, "model")
-        return observation.spectral_smooth_init(model.grid, amplitude=amp, decay=decay)
+        m = typed("model", model_spec)
+        return observation.spectral_smooth_init(model.grid, m["init_amplitude"], m["init_decay"])
     return observation.standard_normal_init(model.dim)
 
 
@@ -247,52 +299,31 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
     3DVAR spec builds its gain there, once per eps. The particle filter
     runs one observation sequence at a time (``run``).
     """
-    kind = spec.get("kind")
-    name = spec.get("name", kind)
-    section = f"filter:{name}"
+    # the loader adds the section's name to the keys of the file
+    name = spec.get("name", spec.get("kind"))
+    f = typed(f"filter:{name}", {k: v for k, v in spec.items() if k != "name"})
+    kind = f["kind"]
 
     if kind in ("observer", "truncated-observer"):
-        gain_kind = spec.get("gain", "identity")
-        if gain_kind == "identity":
-            gain = filters.Gain.identity_on_observed(projection)
-        elif gain_kind == "zero":
-            gain = filters.Gain.zero()
-        else:
-            raise ConfigError(f"unknown gain {gain_kind!r} for filter {name!r}")
+        identity = f["gain"] == "identity"
+        gain = filters.Gain.identity_on_observed(projection) if identity else filters.Gain.zero()
         vnorm = radius = None
         if kind == "truncated-observer":
             vnorm = default_vnorm(model, projection)
-            radius = filters.default_ball_radius(model, vnorm) * scalar(
-                spec, "radius_scale", float, 1.0, section
-            )
+            radius = filters.default_ball_radius(model, vnorm) * f["radius_scale"]
         z0 = np.zeros(model.dim, dtype=complex if hasattr(model, "grid") else float)
         return filters.FixedGainObserver(projection, gain, z0, vnorm=vnorm, radius=radius)
 
     if kind == "3dvar":
-        sigma2 = scalar(spec, "sigma2", float, 1.0, section)
         gamma = noise_gamma(noise, projection)
         return filters.ThreeDVar(
-            sigma2 * np.eye(model.dim), projection, gamma, np.zeros(model.dim)
+            f["sigma2"] * np.eye(model.dim), projection, gamma, np.zeros(model.dim)
         )
 
-    if kind == "particle":
-        n_particles = scalar(spec, "n_particles", int, 1000, section)
-        threshold = scalar(spec, "resample_threshold", float, 0.5, section)
-        jitter = scalar(spec, "jitter", float, 0.0, section)
-        if n_particles < 2:
-            raise ConfigError(f"[{section}] n_particles: need at least 2, got {n_particles}")
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError(
-                f"[{section}] resample_threshold: must lie in [0, 1], got {threshold}"
-            )
-        if not jitter >= 0.0:  # nan fails too
-            raise ConfigError(f"[{section}] jitter: must be nonnegative, got {jitter}")
-        return filters.ParticleFilter(
-            projection, noise, n_particles, init_sampler,
-            resample_threshold=threshold, jitter=jitter,
-        )
-
-    raise ConfigError(f"unknown filter kind {kind!r}")
+    return filters.ParticleFilter(
+        projection, noise, f["n_particles"], init_sampler,
+        resample_threshold=f["resample_threshold"], jitter=f["jitter"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +331,8 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
 
 
 def read_config_file(path) -> configparser.ConfigParser:
+    """The parsed INI file at ``path``, with every section read through
+    :func:`typed`, so that even a section the subcommand skips is checked."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -308,49 +341,25 @@ def read_config_file(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    for section in parser.sections():
+        typed(section, dict(parser.items(section)))
     return parser
-
-
-def _section(parser, name):
-    if not parser.has_section(name):
-        raise ConfigError(f"config is missing the [{name}] section")
-    return dict(parser.items(name))
 
 
 def load_experiment_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
     parser = read_config_file(path)
-    model = _section(parser, "model")
-    obs = _section(parser, "observation")
-    noise = dict(parser.items("noise")) if parser.has_section("noise") else {}
-    exp = _section(parser, "experiment")
-    filter_specs = []
-    for section in parser.sections():
-        if section.startswith("filter:"):
-            spec = dict(parser.items(section))
-            spec["name"] = section.split(":", 1)[1]
-            filter_specs.append(spec)
-    out_path = "report.csv"
-    if parser.has_section("output"):
-        out_path = parser.get("output", "path", fallback=out_path)
-    if out_override:
-        out_path = out_override
-    try:
-        cfg = ExperimentConfig(
-            model=model,
-            observation=obs,
-            noise=noise,
-            filters=filter_specs,
-            epsilons=_floats(exp.get("epsilons", "")),
-            h=float(exp.get("h", "0")),
-            T=float(exp.get("t", exp.get("T", "0"))),
-            n_inits=int(exp.get("n_inits", "1")),
-            n_noise=int(exp.get("n_noise", "1")),
-            seed=int(exp.get("seed", "0")) if seed_override is None else int(seed_override),
-            mse_mode=exp.get("mse_mode", "final"),
-            out_path=out_path,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad value in [experiment]: {exc}") from exc
-    return cfg
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    # an absent section reads as an empty one: its required keys are named
+    exp = typed("experiment", sections.get("experiment", {}))
+    if seed_override is not None:
+        exp["seed"] = int(seed_override)
+    return ExperimentConfig(
+        model=sections.get("model", {}),
+        observation=sections.get("observation", {}),
+        noise=sections.get("noise", {}),
+        filters=[dict(spec, name=name.split(":", 1)[1])
+                 for name, spec in sections.items() if name.startswith("filter:")],
+        T=exp.pop("t"),
+        out_path=out_override or typed("output", sections.get("output", {}))["path"],
+        **exp,
+    )

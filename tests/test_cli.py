@@ -1,3 +1,7 @@
+import configparser
+import glob
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -91,8 +95,9 @@ def test_unknown_kinds_rejected(tmp_path):
     from chaosfilter import config as cfgmod
 
     bad = TINY.replace("kind = lorenz63", "kind = lorexz").format(out="o.csv")
-    cfg = load_experiment_config(write(tmp_path, bad))
-    with pytest.raises(ConfigError):
+    # the loader checks every section, so the kind is rejected there
+    with pytest.raises(ConfigError, match=r"\[model\] kind: .*'lorexz'"):
+        cfg = load_experiment_config(write(tmp_path, bad))
         cfgmod.build_model(cfg.model)
 
 
@@ -102,6 +107,58 @@ def test_filter_section_required(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_experiment_config(write(tmp_path, bad))
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
+SHIPPED_CONFIGS = sorted(
+    glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))
+    + glob.glob(os.path.join(GOLDEN_DIR, "**", "*.cfg"), recursive=True)
+)
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _build_everything(path):
+    """Read every section of the config at ``path`` through the schema and
+    build what each subcommand would build from it."""
+    parser = cfgmod.read_config_file(path)
+    if parser.has_section("experiment"):
+        cfg = load_experiment_config(path)
+        model = cfgmod.build_model(cfg.model)
+        projection = cfgmod.build_projection(cfg.observation, model)
+        noise = cfgmod.build_noise(cfg.noise, projection)
+        init_sampler = cfgmod.build_init_sampler(cfg.model, model)
+        for spec in cfg.filters:
+            cfgmod.build_filter_runner(spec, model, projection, noise, init_sampler)
+    if parser.has_section("linear"):
+        cfgmod.typed("linear", dict(parser.items("linear")))
+    if parser.has_section("squeeze"):
+        cfgmod.typed("squeeze", dict(parser.items("squeeze")))
+        model = cfgmod.build_model(dict(parser.items("model")))
+        cfgmod.build_projection(dict(parser.items("observation")), model)
+
+
+@pytest.mark.parametrize(
+    "path", SHIPPED_CONFIGS,
+    ids=[os.path.relpath(p, os.path.join(CONFIG_DIR, os.pardir)) for p in SHIPPED_CONFIGS],
+)
+def test_shipped_configs_build_through_the_schema(path):
+    _build_everything(path)
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+def test_benchmark_workload_configs_build_through_the_schema(tmp_path, smoke):
+    workloads = _perfbench_workloads()
+    for name in workloads.NAMES:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(workloads.config_text(name, seed=7, smoke=smoke))
+        _build_everything(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +404,30 @@ OUT_OF_RANGE = {
                            "scales"),
     "squeeze-scales-empty": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales =",
                              "scales"),
+    "T-inf": ("mse-table", TINY, "T = 0.2", "T = inf", "t"),
+    "h-inf": ("mse-table", TINY, "h = 0.01", "h = inf", "h"),
+    "epsilons-nan": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = nan 0.1", "epsilons"),
+    "epsilons-inf": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = inf 0.1", "epsilons"),
+    "seed-negative": ("mse-table", TINY, "seed = 3", "seed = -1", "seed"),
+    "radius_scale-negative": (
+        "mse-table", TINY, "kind = truncated-observer",
+        "kind = truncated-observer\nradius_scale = -1", "radius_scale",
+    ),
+    "radius_scale-nan": (
+        "mse-table", TINY, "kind = truncated-observer",
+        "kind = truncated-observer\nradius_scale = nan", "radius_scale",
+    ),
+    "sigma2-negative": (
+        "mse-table", TINY, "kind = truncated-observer", "kind = 3dvar\nsigma2 = -1", "sigma2"
+    ),
+    "L-nan": ("detect", DETECT.format(L="1 0; 0 1", extra="observed = 0"), "L = 1 0; 0 1",
+              "L = nan 0; 0 1", "l"),
+    "budget-negative": (
+        "detect", DETECT.format(L="1 0; 0 1", extra="observed = 0\nbudget = 20"), "budget = 20",
+        "budget = -3", "budget",
+    ),
+    # an absent section reads as an empty one, whose required key is named
+    "model-section-missing": ("mse-table", TINY, "[model]\nkind = lorenz63\n", "", "kind"),
 }
 
 
@@ -360,6 +441,117 @@ def test_out_of_range_config_values_exit_one(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("chaosfilter: config error:"), err
     assert f"{key}: " in err and "Traceback" not in err
+
+
+# case -> (subcommand, config template, what the message names)
+UNKNOWN_NAMES = {
+    "experiment-n_init": (
+        "mse-table", TINY.replace("n_inits = 2", "n_inits = 2\nn_init = 40"),
+        "[experiment] n_init: unknown key",
+    ),
+    "model-substep": (
+        "mse-table", TINY.replace("kind = lorenz63", "kind = lorenz63\nsubstep = 3"),
+        "[model] substep: unknown key",
+    ),
+    "linear-observerd": (
+        "detect", DETECT.format(L="1 0; 0 1", extra="observerd = 0"),
+        "[linear] observerd: unknown key",
+    ),
+    "noize-section": (
+        "mse-table", TINY + "\n[noize]\nkind = gaussian-observed\n", "[noize]: unknown section"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAMES))
+def test_unknown_keys_and_sections_exit_one(tmp_path, capsys, case):
+    command, template, named = UNKNOWN_NAMES[case]
+    out = str(tmp_path / "o.csv")
+    cfg = write(tmp_path, template.format(out=out))
+    assert cli.main([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:"), err
+    assert named in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def _set(text, section, key, token):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    parser.set(section, key, token)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def _schema_config(section, kind):
+    """(subcommand, config text) of a run that reads ``section`` with ``kind``."""
+    if section == "linear":
+        return "detect", DETECT.format(L="1 0; 0 1", extra="observed = 0")
+    if section == "squeeze":
+        return "squeeze-probe", SQUEEZE_TINY
+    if kind in ("navier-stokes", "fourier-cutoff"):
+        return "mse-table", NS_EXPERIMENT
+    text = TINY.format(out="o.csv")
+    return "mse-table", text if kind is None else _set(text, section, "kind", kind)
+
+
+def _out_of_range_token(parse, test):
+    for token in ("-1", "0", "nan", "inf"):
+        try:
+            value = parse(token)
+        except ValueError:
+            continue
+        if test is not None and not test(value):
+            return token
+    return None
+
+
+# (section, kind, key) of every numeric key in the schema
+SCHEMA_NUMBERS = [
+    (section.replace("<name>", "trunc"), kind, key)
+    for section, table in cfgmod.SCHEMA.items()
+    for kind, rows in table.items()
+    for key, (parse, _, _, _) in rows.items()
+    if parse is not str
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", ["token", "range"])
+@pytest.mark.parametrize(
+    "section,kind,key", SCHEMA_NUMBERS, ids=[f"{s}-{k}-{key}" for s, k, key in SCHEMA_NUMBERS]
+)
+def test_every_numeric_schema_key_rejects_bad_values(tmp_path, capsys, section, kind, key, bad):
+    table = cfgmod.SCHEMA["filter:<name>" if section.startswith("filter:") else section]
+    parse, _, test, need = table[kind][key]
+    if bad == "token":
+        token, message = "x", f"[{section}] {key}: bad"
+    else:
+        # every numeric key has a range that some token falls outside
+        token, message = _out_of_range_token(parse, test), f"[{section}] {key}: {need}"
+        assert token is not None, (section, key)
+    command, text = _schema_config(section, kind)
+    cfg = write(tmp_path, _set(text, section, key, token))
+    out = str(tmp_path / "o.csv")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:"), err
+    assert message in err and repr(token) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,template", [("mse-table", TINY), ("squeeze-probe", SQUEEZE_TINY)],
+    ids=["mse-table", "squeeze-probe"],
+)
+def test_negative_seed_option_exits_one(tmp_path, capsys, command, template):
+    cfg = write(tmp_path, template.format(out=str(tmp_path / "o.csv")))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--seed", "-1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--seed: must be nonnegative" in err
+    assert "Traceback" not in err
 
 
 def _append(path, text):

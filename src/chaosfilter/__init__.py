@@ -31,7 +31,6 @@ from .harness import (
     MseReport,
     empirical_squeezing,
     fit_scaling_exponent,
-    posterior_variance_trace,
     run_mse_experiment,
     write_report,
 )

@@ -169,9 +169,13 @@ def _cmd_filter(args):
     # as it is produced
     with observation.outputs_on_success(out) as (out_tmp,):
         try:
-            estimator = cfgmod.build_filter_runner(
+            runner = cfgmod.build_filter_runner(
                 cfg.filters[0], model, projection, noise, init_sampler
-            ).at_eps(obs.eps)
+            )
+            try:
+                estimator = runner.at_eps(obs.eps)
+            except ValueError as exc:  # a particle filter on a noise-free file
+                raise ConfigError(f"observation file: {exc}") from exc
             rng = observation.substream(cfg.seed, "filter-cli")
             with open(out_tmp, "w", newline="") as fh:
                 final = filters.write_filter_steps(
@@ -303,11 +307,9 @@ def _cmd_ns_demo(args):
     truth, obs = observation.generate_truth_and_observations(
         model, projection, noise, init_sampler, eps, cfg.n_steps, cfg.h, rng
     )
-    vnorm = cfgmod.default_vnorm(model, projection)
-    radius = filters.default_ball_radius(model, vnorm)
-    gain = filters.Gain.identity_on_observed(projection)
-    z0 = np.zeros(model.dim, dtype=complex)
-    observer = filters.FixedGainObserver(projection, gain, z0, vnorm=vnorm, radius=radius)
+    observer = cfgmod.build_filter_runner(
+        {"kind": "truncated-observer"}, model, projection, noise, init_sampler
+    )
     run = filters.run_observer(model, observer, obs, truth=truth)
     errs = run.sq_errors
     quarters = [errs[int(q * cfg.n_steps)] for q in (0.25, 0.5, 0.75, 1.0)]

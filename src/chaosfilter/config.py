@@ -185,6 +185,8 @@ class ExperimentConfig:
         exp = {k: getattr(self, "T" if k == "t" else k) for k in SCHEMA["experiment"][None]}
         typed("experiment", exp)
         steps = self.T / self.h
+        if not np.isfinite(steps):
+            raise ConfigError(f"[experiment] t: T / h must be finite, got {self.T} / {self.h}")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"T={self.T} is not an integer multiple of h={self.h}")
         if not self.filters:

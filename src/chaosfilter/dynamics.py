@@ -41,9 +41,7 @@ def check_finite(name, h, out):
 
 def _as_batch(u):
     u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return u[None, :], True
-    return u, False
+    return u[None, :] if u.ndim == 1 else u
 
 
 class DissipativeModel:
@@ -109,7 +107,7 @@ class DissipativeModel:
 
         Rows are independent: a row that leaves float range raises
         BlowUpError carrying the whole stepped batch and the bad-row mask."""
-        batch, _ = _as_batch(states)
+        batch = _as_batch(states)
         nsub = self.substeps if substeps is None else int(substeps)
         if h <= 0:
             raise ValueError("assimilation interval h must be positive")
@@ -122,8 +120,7 @@ class DissipativeModel:
 
     def step(self, u, h, substeps=None):
         """Advance a single state by one assimilation interval of length h."""
-        batch, _ = _as_batch(u)
-        return self.step_batch(batch, h, substeps=substeps)[0]
+        return self.step_batch(_as_batch(u), h, substeps=substeps)[0]
 
     def __repr__(self):
         return f"DissipativeModel({self.name!r}, dim={self.dim})"

@@ -1,6 +1,11 @@
 """State estimators: fixed-gain observers, their ball-truncated variant,
 the exact Kalman filter for linear signals, and a bootstrap particle filter.
 
+Each estimator yields one :class:`FilterStep` per step
+(``FixedGainObserver.steps``, ``ParticleFilter.steps`` and the Kalman
+recursion of :func:`run_kalman`); :func:`collect_run` gathers a stream into
+a :class:`FilterRun` and :func:`write_filter_steps` writes it as it comes.
+
 The fixed-gain observer follows ``z' = (I - D P) Psi(z) + D y``. Truncation
 composes that update with the metric projection onto a ball in a chosen
 quadratic norm, which bounds the estimator against noise outliers without
@@ -71,11 +76,6 @@ class VNorm:
 
     def norm(self, x):
         return float(np.sqrt(self.value(x)))
-
-    def inner(self, x, y):
-        if self.matrix is not None:
-            return float(np.real(x @ self.matrix @ y))
-        return float(np.real(np.sum(self.weights * x * np.conj(y))))
 
 
 def project_ball_V(vnorm: VNorm, radius, x):
@@ -231,8 +231,9 @@ def default_ball_radius(model, vnorm=None) -> float:
 
 
 class FilterStep(NamedTuple):
-    """One step of an estimator: its estimate and, for the particle filter,
-    the effective sample size and the posterior spread."""
+    """One step of an estimator: its estimate, the effective sample size of
+    the particle filter, and the posterior spread of the particle and
+    Kalman filters (the trace of the posterior covariance)."""
 
     estimate: np.ndarray
     ess: Optional[float] = None
@@ -248,12 +249,7 @@ class FilterRun:
     sq_errors: Optional[np.ndarray] = None
     ess: Optional[np.ndarray] = None
     post_trace: Optional[np.ndarray] = None
-    cov_traces: Optional[np.ndarray] = None
     degenerate_at: Optional[int] = None
-
-    @property
-    def final_sq_error(self):
-        return None if self.sq_errors is None else float(self.sq_errors[-1])
 
 
 def squared_norms(model, x):
@@ -289,12 +285,16 @@ def collect_run(model, kind, steps, n_steps, truth=None) -> FilterRun:
             if truth is not None:
                 run.sq_errors = np.empty(n_steps + 1)
             if step.ess is not None:
-                run.ess, run.post_trace = np.empty(n_steps + 1), np.empty(n_steps + 1)
+                run.ess = np.empty(n_steps + 1)
+            if step.post_trace is not None:
+                run.post_trace = np.empty(n_steps + 1)
         run.estimates[j] = step.estimate
         if run.sq_errors is not None:
             run.sq_errors[j] = sq_error
         if run.ess is not None:
-            run.ess[j], run.post_trace[j] = step.ess, step.post_trace
+            run.ess[j] = step.ess
+        if run.post_trace is not None:
+            run.post_trace[j] = step.post_trace
     if run.ess is not None:
         # the effective sample size is at least 1 while the weights are
         # finite, and reads 0 from the step at which they degenerated
@@ -314,27 +314,26 @@ def run_observer(model, observer: FixedGainObserver, observations, truth=None) -
 # Kalman filtering for linear signals
 
 
-def _observed_solve(projection, S_full, rhs_cols, eps_label="innovation"):
+def _kalman_gain(cov, projection, gamma, eps):
+    """K = C P^T (P C P^T + eps^2 Gamma)^-1, solved on the observed block;
+    the columns of unobserved indices are zero."""
+    Pmat = projection.matrix()
+    S_full = Pmat @ cov @ Pmat + eps**2 * np.asarray(gamma, dtype=float)
     obs = projection.observed
-    S = S_full[np.ix_(obs, obs)]
     try:
-        sol = np.linalg.solve(S, rhs_cols[:, obs].T).T
+        sol = np.linalg.solve(S_full[np.ix_(obs, obs)], cov[:, obs].T).T
     except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError(f"singular {eps_label} covariance") from exc
+        raise FilterNumericsError("singular innovation covariance") from exc
     if not np.isfinite(sol).all():
-        raise FilterNumericsError(f"singular {eps_label} covariance")
-    return sol
+        raise FilterNumericsError("singular innovation covariance")
+    K = np.zeros(cov.shape)
+    K[:, obs] = sol
+    return K
 
 
 def kalman_gain_3dvar(model_cov, projection, gamma, eps) -> Gain:
     """Fixed gain K = C P^T (P C P^T + eps^2 Gamma)^-1 on the observed block."""
-    C = np.asarray(model_cov, dtype=float)
-    d = C.shape[0]
-    gamma = np.asarray(gamma, dtype=float)
-    S_full = projection.matrix() @ C @ projection.matrix() + eps**2 * gamma
-    sol = _observed_solve(projection, S_full, C)
-    K = np.zeros((d, d))
-    K[:, projection.observed] = sol
+    K = _kalman_gain(np.asarray(model_cov, dtype=float), projection, gamma, eps)
     return Gain.from_matrix(K, kind="kalman-gain")
 
 
@@ -363,15 +362,10 @@ def kalman_filter_step(L, projection, gamma, eps, mean, cov, y_next):
     """
     _check_observation(projection, y_next)
     L = np.asarray(L, dtype=float)
-    d = L.shape[0]
     gamma = np.asarray(gamma, dtype=float)
     pred_cov = L @ cov @ L.T
-    Pmat = projection.matrix()
-    S_full = Pmat @ pred_cov @ Pmat + eps**2 * gamma
-    sol = _observed_solve(projection, S_full, pred_cov)
-    K = np.zeros((d, d))
-    K[:, projection.observed] = sol
-    IKP = np.eye(d) - K @ Pmat
+    K = _kalman_gain(pred_cov, projection, gamma, eps)
+    IKP = np.eye(L.shape[0]) - K @ projection.matrix()
     new_mean = IKP @ (L @ mean) + K @ y_next
     new_cov = IKP @ pred_cov @ IKP.T + eps**2 * (K @ gamma @ K.T)
     new_cov = 0.5 * (new_cov + new_cov.T)
@@ -379,24 +373,19 @@ def kalman_filter_step(L, projection, gamma, eps, mean, cov, y_next):
 
 
 def run_kalman(L, projection, gamma, eps, mean0, cov0, observations, truth=None) -> FilterRun:
-    """Exact Gaussian filtering for the linear signal; also records trace C_j."""
-    mean = np.asarray(mean0, dtype=float).copy()
-    cov = np.asarray(cov0, dtype=float).copy()
-    J = observations.n_steps
-    means = np.empty((J + 1, mean.shape[0]))
-    traces = np.empty(J + 1)
-    means[0], traces[0] = mean, np.trace(cov)
-    for j in range(J):
-        mean, cov = kalman_filter_step(
-            L, projection, gamma, eps, mean, cov, observations.ys[j]
-        )
-        means[j + 1], traces[j + 1] = mean, np.trace(cov)
-    run = FilterRun(kind="kalman", estimates=means, cov_traces=traces)
-    if truth is not None:
-        run.sq_errors = np.array(
-            [float(np.sum((truth[j] - means[j]) ** 2)) for j in range(J + 1)]
-        )
-    return run
+    """Exact Gaussian filtering for the linear signal, with tr C_j as the
+    posterior spread of each step and the Euclidean squared error."""
+
+    def steps():
+        mean = np.asarray(mean0, dtype=float)
+        cov = np.asarray(cov0, dtype=float)
+        yield FilterStep(mean, post_trace=np.trace(cov))
+        for y in observations.ys:
+            mean, cov = kalman_filter_step(L, projection, gamma, eps, mean, cov, y)
+            yield FilterStep(mean, post_trace=np.trace(cov))
+
+    # no model: squared_norms of a model without a grid is Euclidean
+    return collect_run(None, "kalman", steps(), observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -410,94 +399,24 @@ def systematic_resample(rng, weights):
     return np.searchsorted(np.cumsum(weights), positions).clip(0, n - 1)
 
 
-def particle_steps(
-    model,
-    projection,
-    noise,
-    eps,
-    n_particles,
-    init_sampler,
-    observations,
-    rng,
-    resample_threshold=0.5,
-    jitter=0.0,
-):
-    """Bootstrap filter: propagate through the signal map, reweight by the
-    observation likelihood, resample when the effective sample size halves.
-    Yields the :class:`FilterStep` of j = 0..J as each is computed.
-
-    Once the weights degenerate (every log weight -inf or nan), the last
-    mean and spread are repeated with an effective sample size of 0, and
-    neither the model nor ``rng`` is called again.
+class ParticleFilter:
+    """Bootstrap particle filter: propagate through the signal map, reweight
+    by the observation likelihood, resample when the effective sample size
+    falls below ``resample_threshold`` times the number of particles. It
+    runs one observation sequence at a time, at the sequence's own eps, on
+    the random stream it is given.
 
     The dynamics are deterministic, so no process jitter is added by
     default; ``jitter`` > 0 enables an optional Gaussian perturbation for
     degeneracy studies (not part of the modelled system).
     """
-    if eps <= 0:
-        raise ValueError("particle filter requires eps > 0")
-    if n_particles < 2:
-        raise ValueError("need at least two particles")
-    J = observations.n_steps
-    h = observations.h
-    particles = init_sampler(rng, n_particles)
-    logw = np.zeros(n_particles)
-    mean = particles.mean(axis=0)
-    post_trace = float(np.mean(np.sum(np.abs(particles - mean) ** 2, axis=1)))
-    yield FilterStep(mean, n_particles, post_trace)
-    for j in range(J):
-        particles = model.step_batch(particles, h)
-        if jitter > 0:
-            particles = particles + jitter * rng.standard_normal(particles.shape)
-        resid = observations.ys[j] - projection.apply(particles)
-        logw = logw + noise.log_density(resid, eps)
-        shift = logw.max()
-        if not np.isfinite(shift):
-            for _ in range(j, J):
-                yield FilterStep(mean, 0.0, post_trace)
-            return
-        w = np.exp(logw - shift)
-        w /= w.sum()
-        mean = w @ particles
-        post_trace = float(np.real(w @ np.sum(np.abs(particles - mean) ** 2, axis=1)))
-        ess = 1.0 / float(w @ w)
-        yield FilterStep(mean, ess, post_trace)
-        if ess < resample_threshold * n_particles:
-            idx = systematic_resample(rng, w)
-            particles = particles[idx]
-            logw = np.zeros(n_particles)
-
-
-def particle_filter(
-    model,
-    projection,
-    noise,
-    eps,
-    n_particles,
-    init_sampler,
-    observations,
-    rng,
-    resample_threshold=0.5,
-    jitter=0.0,
-    truth=None,
-) -> FilterRun:
-    """The steps of :func:`particle_steps`, collected into a FilterRun."""
-    steps = particle_steps(
-        model, projection, noise, eps, n_particles, init_sampler, observations, rng,
-        resample_threshold=resample_threshold, jitter=jitter,
-    )
-    return collect_run(model, "particle", steps, observations.n_steps, truth)
-
-
-class ParticleFilter:
-    """Settings of the bootstrap particle filter. It runs one observation
-    sequence at a time, on the random stream it is given (see
-    :func:`particle_steps`)."""
 
     kind = "particle"
 
     def __init__(self, projection, noise, n_particles, init_sampler,
                  resample_threshold=0.5, jitter=0.0):
+        if n_particles < 2:
+            raise ValueError("need at least two particles")
         self.projection = projection
         self.noise = noise
         self.n_particles = n_particles
@@ -507,24 +426,62 @@ class ParticleFilter:
 
     def at_eps(self, eps):
         """The estimator used at noise strength eps: this one, which reads
-        eps from the observations it runs on."""
+        eps from the observations it runs on. Raises ValueError unless
+        eps > 0."""
+        if not eps > 0:
+            raise ValueError(f"particle filter requires eps > 0, got {eps}")
         return self
 
     def steps(self, model, observations, rng):
-        """Yield the :class:`FilterStep` of j = 0..J on one observation sequence."""
-        return particle_steps(
-            model, self.projection, self.noise, observations.eps, self.n_particles,
-            self.init_sampler, observations, rng,
-            resample_threshold=self.resample_threshold, jitter=self.jitter,
-        )
+        """Yield the :class:`FilterStep` of j = 0..J on one observation
+        sequence as each is computed.
+
+        Once the weights degenerate (every log weight -inf or nan), the last
+        mean and spread are repeated with an effective sample size of 0, and
+        neither the model nor ``rng`` is called again.
+        """
+        eps = observations.eps
+        self.at_eps(eps)
+        projection, noise, jitter = self.projection, self.noise, self.jitter
+        n_particles, threshold = self.n_particles, self.resample_threshold
+        J = observations.n_steps
+        h = observations.h
+        particles = self.init_sampler(rng, n_particles)
+        logw = np.zeros(n_particles)
+        mean = particles.mean(axis=0)
+        post_trace = float(np.mean(np.sum(np.abs(particles - mean) ** 2, axis=1)))
+        yield FilterStep(mean, n_particles, post_trace)
+        for j in range(J):
+            particles = model.step_batch(particles, h)
+            if jitter > 0:
+                particles = particles + jitter * rng.standard_normal(particles.shape)
+            resid = observations.ys[j] - projection.apply(particles)
+            logw = logw + noise.log_density(resid, eps)
+            shift = logw.max()
+            if not np.isfinite(shift):
+                for _ in range(j, J):
+                    yield FilterStep(mean, 0.0, post_trace)
+                return
+            w = np.exp(logw - shift)
+            w /= w.sum()
+            mean = w @ particles
+            post_trace = float(np.real(w @ np.sum(np.abs(particles - mean) ** 2, axis=1)))
+            ess = 1.0 / float(w @ w)
+            yield FilterStep(mean, ess, post_trace)
+            if ess < threshold * n_particles:
+                idx = systematic_resample(rng, w)
+                particles = particles[idx]
+                logw = np.zeros(n_particles)
 
     def run(self, model, observations, rng, truth=None) -> FilterRun:
-        """Filter one observation sequence."""
-        return particle_filter(
-            model, self.projection, self.noise, observations.eps, self.n_particles,
-            self.init_sampler, observations, rng,
-            resample_threshold=self.resample_threshold, jitter=self.jitter, truth=truth,
-        )
+        """Filter one observation sequence (see :func:`particle_filter`)."""
+        return particle_filter(model, self, observations, rng, truth=truth)
+
+
+def particle_filter(model, pf: ParticleFilter, observations, rng, truth=None) -> FilterRun:
+    """Drive a particle filter through an observation sequence."""
+    steps = pf.steps(model, observations, rng)
+    return collect_run(model, pf.kind, steps, observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------

@@ -405,13 +405,7 @@ def empirical_squeezing(
             fu = model.step_batch(u, h, substeps=substeps)
             delta = fv - fu
             corr = delta - gain.apply(projection.apply(delta))
-            if vnorm.matrix is not None:
-                num = np.einsum("ij,jk,ik->i", corr, vnorm.matrix, corr)
-                den = np.einsum("ij,jk,ik->i", v - u, vnorm.matrix, v - u)
-            else:
-                num = np.sum(vnorm.weights * np.abs(corr) ** 2, axis=1)
-                den = np.sum(vnorm.weights * np.abs(v - u) ** 2, axis=1)
-            ratios[done : done + m] = num / den
+            ratios[done : done + m] = vnorm.row_values(corr) / vnorm.row_values(v - u)
             done += m
         top = max(1.0, float(ratios.max()))
         counts, edges = np.histogram(ratios, bins=50, range=(0.0, top * 1.0001))
@@ -444,18 +438,3 @@ def write_squeeze_histogram(result: SqueezeProbeResult, path):
                         int(e.hist_counts[b]),
                     ]
                 )
-
-
-# ---------------------------------------------------------------------------
-# posterior spread
-
-
-def posterior_variance_trace(run):
-    """Per-step trace of the weighted ensemble covariance of a particle run."""
-    if run.post_trace is None:
-        raise ValueError("run carries no posterior variance (not a particle run?)")
-    if run.degenerate_at is not None:
-        raise ValueError(
-            f"particle run degenerated at step {run.degenerate_at}; trace unusable"
-        )
-    return np.array(run.post_trace, copy=True)

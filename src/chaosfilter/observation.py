@@ -409,8 +409,9 @@ def export_observations(seq: ObservationSequence, projection, path):
 def import_observations(path) -> ObservationSequence:
     """Read back a sequence written by :func:`export_observations`.
 
-    Raises ValueError on a ``.meta`` file missing a required key, on a
-    row that is not three fields of step, index token and number, on a
+    Raises ValueError on a ``.meta`` file missing a required key, or whose
+    eps is negative or not finite or whose h is not positive and finite,
+    on a row that is not three fields of step, index token and number, on a
     malformed index token (an ``r``/``i`` suffix in a real file, or none in
     a complex one), on a step or index outside the ranges the ``.meta`` file
     declares, on a row that repeats an earlier one's step and index, and on
@@ -428,6 +429,11 @@ def import_observations(path) -> ObservationSequence:
         raise ValueError(f"{path}.meta lacks {', '.join(missing)}")
     n_steps = int(meta["n_steps"])
     dim = int(meta["dim"])
+    eps, h = float(meta["eps"]), float(meta["h"])
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"{path}.meta: eps must be nonnegative and finite, got {meta['eps']!r}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"{path}.meta: h must be positive and finite, got {meta['h']!r}")
     is_complex = meta.get("complex", "0") == "1"
     n_parts = 2 if is_complex else 1
     width = n_parts * dim
@@ -477,8 +483,8 @@ def import_observations(path) -> ObservationSequence:
         j, _, token = min(gaps)
         raise ValueError(f"{path}: step {j} has no row for index {token!r}")
     return ObservationSequence(
-        eps=float(meta["eps"]),
-        h=float(meta["h"]),
+        eps=eps,
+        h=h,
         ys=ys,
         seed_label=meta.get("seed_label", ""),
         tokens=frozenset(columns),

@@ -405,6 +405,8 @@ OUT_OF_RANGE = {
     "squeeze-scales-empty": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales =",
                              "scales"),
     "T-inf": ("mse-table", TINY, "T = 0.2", "T = inf", "t"),
+    # each finite and positive, but T / h overflows
+    "T-over-h-overflow": ("mse-table", TINY, "h = 0.01\nT = 0.2", "h = 1e-300\nT = 1e300", "t"),
     "h-inf": ("mse-table", TINY, "h = 0.01", "h = inf", "h"),
     "epsilons-nan": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = nan 0.1", "epsilons"),
     "epsilons-inf": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = inf 0.1", "epsilons"),
@@ -584,6 +586,15 @@ def _drop_meta_key(key):
     return corrupt
 
 
+def _set_meta(key, value):
+    def corrupt(obs, truth):
+        lines = open(obs + ".meta").read().splitlines(keepends=True)
+        open(obs + ".meta", "w").writelines(
+            f"{key} = {value}\n" if ln.startswith(key + " ") else ln for ln in lines
+        )
+    return corrupt
+
+
 CORRUPTIONS = {
     "index-out-of-range": lambda obs, truth: _append(obs, "1,99,0.5\n"),
     "negative-index": lambda obs, truth: _append(obs, "1,-1,0.5\n"),
@@ -598,6 +609,10 @@ CORRUPTIONS = {
     "meta-no-h": _drop_meta_key("h"),
     "meta-no-n_steps": _drop_meta_key("n_steps"),
     "meta-no-dim": _drop_meta_key("dim"),
+    "meta-h-zero": _set_meta("h", "0"),
+    "meta-h-nan": _set_meta("h", "nan"),
+    "meta-eps-negative": _set_meta("eps", "-1"),
+    "meta-eps-nan": _set_meta("eps", "nan"),
     "truth-bad-number": lambda obs, truth: _append(truth, "21," + "x," * 59 + "0\n"),
     "truth-short": lambda obs, truth: _drop_last_line(truth),
     "truth-empty": lambda obs, truth: open(truth, "w").write("j,v0\n"),
@@ -652,6 +667,24 @@ seed = 3
 [output]
 path = x.csv
 """
+
+
+def test_particle_filter_on_noise_free_file_exits_one(tmp_path, capsys):
+    noise_free = TINY.replace("epsilons = 0.5 0.1", "epsilons = 0")
+    sim_cfg = write(tmp_path, noise_free.format(out="o.csv"), "sim.cfg")
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", sim_cfg, "--out", sim]) == 0
+    capsys.readouterr()
+    particle = TINY.replace("[filter:trunc]\nkind = truncated-observer", PARTICLE)
+    pf_cfg = write(tmp_path, particle.format(out="o.csv"), "pf.cfg")
+    before = sorted(os.listdir(tmp_path))
+    argv = ["filter", "--config", pf_cfg, "--obs", sim + "_observations.csv",
+            "--truth", sim + "_truth.csv", "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: config error:") and "eps > 0" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

@@ -333,7 +333,15 @@ def test_covariance_ignores_observations():
         ys[:, 0] = rng.standard_normal(30)
         obs = ObservationSequence(eps=0.5, h=1.0, ys=ys)
         run = filters.run_kalman(L, P, gamma, 0.5, np.zeros(2), np.eye(2), obs)
-        traces.append(run.cov_traces)
+        traces.append(run.post_trace)
+        # the run's spread is tr C_j of the recursion, bit for bit
+        mean, cov = np.zeros(2), np.eye(2)
+        by_hand = [np.trace(cov)]
+        for y in ys:
+            mean, cov = filters.kalman_filter_step(L, P, gamma, 0.5, mean, cov, y)
+            by_hand.append(np.trace(cov))
+        assert run.post_trace.tobytes() == np.array(by_hand).tobytes()
+        assert run.ess is None and run.degenerate_at is None
     np.testing.assert_array_equal(traces[0], traces[1])
 
 
@@ -374,7 +382,7 @@ def test_particle_filter_matches_kalman_oracle():
     kf = filters.run_kalman(L, P, gamma, obs.eps, np.zeros(2), np.eye(2), obs)
     init = observation.standard_normal_init(2)
     pf = filters.particle_filter(
-        model, P, noise, obs.eps, 100_000, init, obs, np.random.default_rng(9)
+        model, filters.ParticleFilter(P, noise, 100_000, init), obs, np.random.default_rng(9)
     )
     assert pf.degenerate_at is None
     # posterior spread / sqrt(ESS) bounds the Monte Carlo error of the mean
@@ -384,7 +392,7 @@ def test_particle_filter_matches_kalman_oracle():
         assert gap < 4.0 * se + 1e-3
     # posterior variance matches the exact filter covariance trace
     for j in (10, 20, 30):
-        assert pf.post_trace[j] == pytest.approx(kf.cov_traces[j], rel=0.15)
+        assert pf.post_trace[j] == pytest.approx(kf.post_trace[j], rel=0.15)
 
 
 def test_flat_likelihood_reduces_to_pushforward():
@@ -392,7 +400,7 @@ def test_flat_likelihood_reduces_to_pushforward():
     flat = ObservationSequence(eps=1e8, h=1.0, ys=obs.ys)
     init = observation.standard_normal_init(2)
     pf = filters.particle_filter(
-        model, P, noise, flat.eps, 5000, init, flat, np.random.default_rng(11)
+        model, filters.ParticleFilter(P, noise, 5000, init), flat, np.random.default_rng(11)
     )
     ensemble = init(np.random.default_rng(11).spawn(0) or np.random.default_rng(11), 5000)
     # replicate the internal draw: same rng consumed the same way
@@ -406,10 +414,15 @@ def test_flat_likelihood_reduces_to_pushforward():
 def test_particle_filter_requires_noise_and_particles():
     L, model, P, noise, truth, obs = make_linear_gaussian(12, n_steps=3)
     init = observation.standard_normal_init(2)
+    pf = filters.ParticleFilter(P, noise, 100, init)
+    for eps in (0.0, -0.5, float("nan")):
+        noiseless = ObservationSequence(eps=eps, h=obs.h, ys=obs.ys)
+        with pytest.raises(ValueError):
+            filters.particle_filter(model, pf, noiseless, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            pf.at_eps(eps)
     with pytest.raises(ValueError):
-        filters.particle_filter(model, P, noise, 0.0, 100, init, obs, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        filters.particle_filter(model, P, noise, 0.5, 1, init, obs, np.random.default_rng(0))
+        filters.ParticleFilter(P, noise, 1, init)
 
 
 def test_degenerate_weights_flagged():
@@ -419,7 +432,7 @@ def test_degenerate_weights_flagged():
     bad = ObservationSequence(eps=1e-3, h=1.0, ys=ys)
     init = observation.standard_normal_init(2)
     pf = filters.particle_filter(
-        model, P, noise, bad.eps, 200, init, bad, np.random.default_rng(14)
+        model, filters.ParticleFilter(P, noise, 200, init), bad, np.random.default_rng(14)
     )
     assert pf.degenerate_at == 3
 
@@ -432,7 +445,8 @@ def test_coincident_particles_have_zero_spread():
         return np.zeros((n, 2))
 
     pf = filters.particle_filter(
-        model, P, noise, obs.eps, 2, degenerate_init, obs, np.random.default_rng(16)
+        model, filters.ParticleFilter(P, noise, 2, degenerate_init), obs,
+        np.random.default_rng(16),
     )
     np.testing.assert_allclose(pf.post_trace, np.zeros(5), atol=1e-30)
 
@@ -461,7 +475,7 @@ def test_estimates_are_observation_measurable():
     pf_runs = []
     for _ in range(2):
         pf = filters.particle_filter(
-            dynamics.lorenz63(), P, noise, 0.2, 500, init, obs,
+            dynamics.lorenz63(), filters.ParticleFilter(P, noise, 500, init), obs,
             np.random.default_rng(99),
         )
         pf_runs.append(pf.estimates)

@@ -274,7 +274,7 @@ def test_sample_euclidean_ball_uniformity():
 
 
 # ---------------------------------------------------------------------------
-# posterior variance trace
+# posterior spread
 
 
 def test_posterior_spread_scales_quadratically_in_eps():
@@ -293,30 +293,28 @@ def test_posterior_spread_scales_quadratically_in_eps():
                 model, P, noise, init, eps, 300, 0.01, rng
             )
             pf = filters.particle_filter(
-                model, P, noise, eps, 2000, init, obs,
+                model, filters.ParticleFilter(P, noise, 2000, init, jitter=0.2 * eps), obs,
                 observation.substream(32, "pf", trial, str(eps)),
-                jitter=0.2 * eps,
             )
-            vals.append(np.mean(harness.posterior_variance_trace(pf)[200:]))
+            assert pf.degenerate_at is None
+            vals.append(np.mean(pf.post_trace[200:]))
         points.append((eps, float(np.mean(vals))))
     slope, _ = harness.fit_scaling_exponent(points)
     assert slope == pytest.approx(2.0, abs=0.25)
 
 
-def test_posterior_variance_passthrough_and_errors():
+def test_particle_run_carries_posterior_spread():
     model = harness.DiscreteMapModel(0.9 * np.eye(2))
     P = observation.coordinate_projection(2, [0])
     noise = observation.GaussianObservedNoise(P)
     init = observation.standard_normal_init(2)
     ys = np.zeros((5, 2))
     obs = observation.ObservationSequence(eps=0.5, h=1.0, ys=ys)
-    pf = filters.particle_filter(
-        model, P, noise, 0.5, 200, init, obs, np.random.default_rng(14)
-    )
-    trace = harness.posterior_variance_trace(pf)
-    assert trace.shape == (6,)
-    assert np.all(trace >= 0.0)
+    pf = filters.ParticleFilter(P, noise, 200, init).run(model, obs, np.random.default_rng(14))
+    assert pf.degenerate_at is None
+    assert pf.post_trace.shape == (6,)
+    assert np.all(pf.post_trace >= 0.0)
 
-    plain = filters.FilterRun(kind="observer", estimates=np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        harness.posterior_variance_trace(plain)
+    observer = filters.FixedGainObserver(P, filters.Gain.identity_on_observed(P), np.zeros(2))
+    plain = filters.run_observer(model, observer, obs)
+    assert plain.post_trace is None and plain.ess is None

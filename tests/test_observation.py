@@ -352,6 +352,23 @@ def test_missing_observation_rows_are_rejected(tmp_path):
         observation.import_observations(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("h", "0"), ("h", "-0.01"), ("h", "nan"), ("h", "inf"),
+    ("eps", "-1"), ("eps", "nan"), ("eps", "inf"),
+])
+def test_bad_meta_values_are_rejected(tmp_path, key, value):
+    seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=np.ones((2, 1)))
+    path = tmp_path / "obs.csv"
+    observation.export_observations(seq, observation.CoordinateProjection(1, [0]), path)
+    meta = path.with_name("obs.csv.meta")
+    lines = meta.read_text().splitlines()
+    meta.write_text("".join(
+        f"{key} = {value}\n" if ln.startswith(key + " ") else ln + "\n" for ln in lines
+    ))
+    with pytest.raises(ValueError, match=rf"\.meta: {key} must be .*, got '{value}'"):
+        observation.import_observations(path)
+
+
 # awkward values every writer must carry through: signed zeros, subnormals,
 # magnitudes near the float limits and infinities
 SPECIAL_FLOATS = [

@@ -1,8 +1,9 @@
 """The benchmark's tracer (``perfbench/tracer.py``) wraps program functions
 by module and attribute name. This test loads it from its file, unmodified,
 runs a traced spectral-flow and convection-model ``mse-table`` through it,
-and checks that every attribute it patches exists, that the kernels it
-counts are reached, and that removing it restores every original.
+and checks that every attribute it patches exists, that the kernels and
+particle steps it counts are reached, and that removing it restores every
+original.
 """
 
 import importlib.util
@@ -36,6 +37,10 @@ kind = lorenz63
 [observation]
 kind = coordinate-mask
 observed = 0
+
+[filter:pf]
+kind = particle
+n_particles = 20
 """,
 }
 
@@ -92,3 +97,6 @@ def test_tracer_patches_existing_attributes_and_restores_them(tmp_path, capsys, 
         assert metrics["spectral.table_entries"] == SpectralGrid(3).conv_w.size
     else:
         assert metrics["kernels.l63.calls"] > 0 and metrics["kernels.conv.calls"] == 0
+        # the particle filter runs through filters.particle_filter, which the
+        # tracer wraps to count its steps
+        assert metrics["filters.pf_steps"] > 0

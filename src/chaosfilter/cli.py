@@ -5,7 +5,7 @@ estimator over a stored observation file), ``mse-table`` (the Monte Carlo
 error experiment), ``detect`` (linear detectability verdict),
 ``squeeze-probe`` (empirical contraction certificate), ``ns-demo``
 (spectral-flow observer demonstration). Exit status: 0 success, 1
-configuration error, 2 numerical failure.
+configuration error or a file the system refuses, 2 numerical failure.
 """
 
 import argparse
@@ -351,6 +351,9 @@ def main(argv=None) -> int:
     except (BlowUpError, FilterNumericsError) as exc:
         print(f"chaosfilter: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a path the system refuses: missing folder, a directory
+        print(f"chaosfilter: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

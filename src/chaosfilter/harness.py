@@ -4,9 +4,11 @@ The central protocol: draw ``n_inits`` signal starts, pair each with
 ``n_noise`` observation noise realizations, filter every combination at
 every noise strength, and aggregate the squared estimation error at final
 time. Every (filter, eps, trial) row of a fixed-gain filter advances in
-one batch with the truth, in a single thread. All randomness flows
-through named substreams of one master seed, so reports are byte-stable
-under any trial order and any batch.
+one batch with the truth, in a single thread, on noise drawn from each
+trial's substream a fixed chunk of steps at a time, so without a particle
+filter, and in final-error mode, nothing the run holds grows with T. All
+randomness flows through named substreams of one master seed, so reports
+are byte-stable under any trial order, batch and chunk.
 """
 
 import csv
@@ -74,11 +76,9 @@ class MseReport:
         raise KeyError((filter_name, eps))
 
 
-def _final_error(run, mode, n_steps):
-    if mode == "time-averaged":
-        tail = run.sq_errors[n_steps // 2 :]
-        return float(np.mean(tail))
-    return float(run.sq_errors[-1])
+#: steps of noise drawn at once from each trial's substream; a block takes
+#: the same draws as its chunks, so no report depends on this number
+NOISE_CHUNK = 64
 
 
 def _segments(row_est):
@@ -90,80 +90,60 @@ def _segments(row_est):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_fixed_gain_rows(model, projection, h, starts, noise_blocks, n_noise, groups,
-                         averaged, errors, excluded, truths=None):
+def _row_steps(config, model, projection, noise, groups, starts):
     """Advance the truth of every signal start and every fixed-gain row.
 
     A row is one (group, trial) pair of a group whose estimator is a
     FixedGainObserver. Truth and rows step together, in one ``step_batch``
     call per step; each run of rows sharing an estimator is analysed in
-    one ``assimilate`` call. Fills the rows' final (or time-averaged)
-    squared errors into ``errors`` and their exclusions into ``excluded``,
-    writes the truth into ``truths`` when given, and returns the indices
-    of the signal starts whose truth stayed finite.
+    one ``assimilate`` call, on noise drawn ``NOISE_CHUNK`` steps at a time
+    from each trial's substream. Yields ``(alive, truth, row_group,
+    row_trial, rows)`` for j = 0..J, or until no state is left: the starts
+    whose truth is finite, with their states, and the rows still finite,
+    with theirs. A truth that leaves float range drops every row of its
+    trials.
     """
-    n_inits = starts.shape[0]
-    n_trials, n_steps = noise_blocks.shape[:2]
+    n_noise, n_steps = config.n_noise, config.n_steps
+    n_trials = starts.shape[0] * n_noise
     estimators = [est for _, _, est in groups]
     est_index = np.array([estimators.index(est) for est in estimators])
     group_eps = np.array([eps for _, eps, _ in groups], dtype=float)
     batched = [
         g for g, est in enumerate(estimators) if isinstance(est, filters.FixedGainObserver)
     ]
+    rngs = [substream(config.seed, "noise", *divmod(t, n_noise)) for t in range(n_trials)]
 
     # state rows: the live signal starts, then the live filter rows
-    alive = np.arange(n_inits)
-    truth_row = np.arange(n_inits)  # row of each start in `state`, -1 once blown up
+    alive = np.arange(starts.shape[0])
     row_group = np.repeat(batched, n_trials).astype(int)
     row_trial = np.tile(np.arange(n_trials), len(batched))
     state = np.concatenate([starts] + [estimators[g].init(n_trials) for g in batched])
     segments = _segments(est_index[row_group])
-    tail_start = n_steps // 2
-    if averaged:
-        # row-major, so that each row's mean sums in the order np.mean of
-        # that row alone does
-        tail = np.zeros((len(groups), n_trials, n_steps + 1 - tail_start))
-
-    def sq_errors():
-        truth = state[truth_row[row_trial // n_noise]]
-        return filters.squared_norms(model, truth - state[alive.size :])
-
-    if averaged and tail_start == 0:
-        tail[row_group, row_trial, 0] = sq_errors()
+    yield alive, starts, row_group, row_trial, state[alive.size :]
     for j in range(n_steps):
         if state.shape[0] == 0:
-            break
+            return
         try:
-            state = model.step_batch(state, h)
+            state = model.step_batch(state, config.h)
         except BlowUpError as exc:
             bad_truth, bad_rows = exc.bad[: alive.size], exc.bad[alive.size :]
-            blown = alive[bad_truth]
-            excluded[:, np.isin(np.arange(n_trials) // n_noise, blown)] = True
-            drop = bad_rows | np.isin(row_trial // n_noise, blown)
-            excluded[row_group[drop], row_trial[drop]] = True
+            drop = bad_rows | np.isin(row_trial // n_noise, alive[bad_truth])
             state = exc.states[np.concatenate([~bad_truth, ~drop])]
             alive = alive[~bad_truth]
-            truth_row = np.full(n_inits, -1)
-            truth_row[alive] = np.arange(alive.size)
             row_group, row_trial = row_group[~drop], row_trial[~drop]
             segments = _segments(est_index[row_group])
         truth, forecast = state[: alive.size], state[alive.size :]
-        if truths is not None:
-            truths[alive, j + 1] = truth
-        ys = (
-            projection.apply(truth)[truth_row[row_trial // n_noise]]
-            + group_eps[row_group][:, None] * noise_blocks[row_trial, j]
-        )
-        for a, b in segments:
-            analysis = estimators[row_group[a]].assimilate(forecast[a:b], ys[a:b])
-            state[alive.size + a : alive.size + b] = analysis
-        if averaged and j + 1 >= tail_start:
-            tail[row_group, row_trial, j + 1 - tail_start] = sq_errors()
-    if averaged:
-        errors[row_group, row_trial] = tail[row_group, row_trial].mean(axis=1)
-    elif row_group.size:
-        errors[row_group, row_trial] = sq_errors()
-    return alive
+        if row_group.size:  # rows only drop, so a live row saw this chunk drawn
+            if j % NOISE_CHUNK == 0:
+                chunk = np.stack([noise.sample(rng, NOISE_CHUNK) for rng in rngs])
+            ys = (
+                projection.apply(truth)[np.searchsorted(alive, row_trial // n_noise)]
+                + group_eps[row_group][:, None] * chunk[row_trial, j % NOISE_CHUNK]
+            )
+            for a, b in segments:
+                analysis = estimators[row_group[a]].assimilate(forecast[a:b], ys[a:b])
+                state[alive.size + a : alive.size + b] = analysis
+        yield alive, truth, row_group, row_trial, state[alive.size :]
 
 
 def run_mse_experiment(config) -> MseReport:
@@ -172,9 +152,11 @@ def run_mse_experiment(config) -> MseReport:
     Trials are (signal start, noise realization) pairs. The fixed-gain
     filters (observer, truncated observer, 3DVAR) run as (filter, eps,
     trial) rows that advance together with the truth, one batch per step
-    (see ``_run_fixed_gain_rows``); the per-row arithmetic is that of a
-    single state, so the numbers do not depend on the batch. Particle
-    filters then run one trial at a time on the stored truth. A truth that
+    (see ``_row_steps``); the per-row arithmetic is that of a single
+    state, so the numbers do not depend on the batch. Noise is drawn per
+    chunk of steps, so in final-error mode without a particle filter nothing
+    held grows with T. Particle filters then run one trial at a time on the
+    stored truth, drawing their trial's noise block again. A truth that
     leaves float range excludes every filter of its trials; a filter row
     that does, or a particle run that degenerates, excludes only itself.
     """
@@ -201,32 +183,47 @@ def run_mse_experiment(config) -> MseReport:
         if not isinstance(est, filters.FixedGainObserver)
     ]
     errors = np.zeros((len(groups), n_trials))
-    excluded = np.zeros((len(groups), n_trials), dtype=bool)
 
     starts = np.stack(
         [init_sampler(substream(seed, "init", i)) for i in range(config.n_inits)]
     )
-    noise_blocks = np.empty((n_trials, n_steps) + starts.shape[1:], dtype=starts.dtype)
-    for t in range(n_trials):
-        rng = substream(seed, "noise", t // n_noise, t % n_noise)
-        noise_blocks[t] = noise.sample(rng, n_steps)
     truths = None
     if per_trial:
         truths = np.empty((config.n_inits, n_steps + 1) + starts.shape[1:], dtype=starts.dtype)
-        truths[:, 0] = starts
-    alive = _run_fixed_gain_rows(
-        model, projection, h, starts, noise_blocks, n_noise, groups,
-        config.mse_mode == "time-averaged", errors, excluded, truths,
-    )
+    averaged = config.mse_mode == "time-averaged"
+    tail_start = n_steps // 2
+    if averaged:
+        # row-major, so that each row's mean sums in the order np.mean of
+        # that row alone does
+        tail = np.zeros((len(groups), n_trials, n_steps + 1 - tail_start))
+    steps = _row_steps(config, model, projection, noise, groups, starts)
+    for j, (alive, truth, row_group, row_trial, rows) in enumerate(steps):
+        if truths is not None:
+            truths[alive, j] = truth
+        if row_group.size and (j == n_steps or (averaged and j >= tail_start)):
+            sq = filters.squared_norms(
+                model, truth[np.searchsorted(alive, row_trial // n_noise)] - rows
+            )
+            if averaged:
+                tail[row_group, row_trial, j - tail_start] = sq
+            else:
+                errors[row_group, row_trial] = sq
+    if averaged:
+        errors[row_group, row_trial] = tail[row_group, row_trial].mean(axis=1)
+    # used: the rows finite at the end, and per-trial filters of finite truths
+    excluded = np.ones((len(groups), n_trials), dtype=bool)
+    excluded[row_group, row_trial] = False
+    excluded[per_trial] = ~np.isin(np.arange(n_trials) // n_noise, alive)
 
     for t in range(n_trials):
         i, k = divmod(t, n_noise)
         if not per_trial or i not in alive:
             continue
         observed = projection.apply(truths[i, 1:])
+        w = noise.sample(substream(seed, "noise", i, k), n_steps)
         for g in per_trial:
             name, eps, est = groups[g]
-            obs = ObservationSequence(eps=eps, h=h, ys=observed + eps * noise_blocks[t])
+            obs = ObservationSequence(eps=eps, h=h, ys=observed + eps * w)
             rng = substream(seed, "filter", name, i, k, _fmt(eps))
             try:
                 run = est.run(model, obs, rng, truth=truths[i])
@@ -236,7 +233,8 @@ def run_mse_experiment(config) -> MseReport:
             if run.degenerate_at is not None:
                 excluded[g, t] = True
             else:
-                errors[g, t] = _final_error(run, config.mse_mode, n_steps)
+                sq = run.sq_errors
+                errors[g, t] = np.mean(sq[tail_start:]) if averaged else sq[-1]
 
     rows = []
     slopes = {}

@@ -314,18 +314,21 @@ def _parts(is_complex):
 @contextlib.contextmanager
 def outputs_on_success(*paths):
     """Yield a temporary path beside each of ``paths``. When the block
-    succeeds each temporary file is renamed over its path; when it raises,
-    the temporary files are removed, so a failed run leaves no output."""
+    succeeds each temporary file is renamed over its path; when it or a
+    rename raises, the temporary files are removed, so a failed run leaves
+    no output, and an OSError names the path rather than its temporary."""
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
         yield temps
-    except BaseException:
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException as exc:
         for temp in temps:
             if os.path.exists(temp):
                 os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            exc.filename = paths[temps.index(exc.filename)]
         raise
-    for temp, path in zip(temps, paths):
-        os.replace(temp, path)
 
 
 class TableWriter:

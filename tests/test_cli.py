@@ -203,6 +203,41 @@ def test_missing_observation_file_exits_one(tmp_path, capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("case", [
+    "mse-table-out", "simulate-out", "filter-out", "detect-out",
+    "config-is-directory", "truth-is-directory", "simulate-out-is-directory",
+])
+def test_paths_the_system_refuses_exit_one(tmp_path, capsys, case):
+    cfg = write(tmp_path, TINY.format(out="o.csv"))
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", cfg, "--out", sim]) == 0
+    missing = str(tmp_path / "no-such-dir" / "out")
+    filter_argv = ["filter", "--config", cfg, "--obs", sim + "_observations.csv"]
+    os.mkdir(tmp_path / "taken_truth.csv")  # an output path that is a directory
+    argv, path = {
+        # mse-table runs the whole experiment before it writes
+        "mse-table-out": (["mse-table", "--config", cfg, "--out", missing], missing),
+        "simulate-out": (["simulate", "--config", cfg, "--out", missing], missing + "_truth.csv"),
+        "filter-out": (filter_argv + ["--out", missing], missing),
+        "detect-out": (["detect", "--config", cfg_path("detect_rotation.cfg"), "--out", missing],
+                       missing),
+        "config-is-directory": (["mse-table", "--config", str(tmp_path)], str(tmp_path)),
+        "truth-is-directory": (filter_argv + ["--truth", str(tmp_path),
+                                              "--out", str(tmp_path / "run.csv")], str(tmp_path)),
+        # the rename at the end fails, after the outputs were written
+        "simulate-out-is-directory": (["simulate", "--config", cfg, "--out",
+                                       str(tmp_path / "taken")], str(tmp_path / "taken_truth.csv")),
+    }[case]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: ") and err.endswith(f": {path}\n"), err
+    assert "Traceback" not in err
+    # no output and no temporary file
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 SQUEEZE_TINY = """
 [model]
 kind = lorenz63

@@ -3,16 +3,17 @@
 Each ``goldens/<name>.cfg`` is a small ``mse-table`` experiment. Its report
 (``<name>.csv``) and ``.meta`` sidecar were captured from the engine that
 ran one trial, one noise strength and one filter at a time; the
-row-batched engine must reproduce both byte for byte. Together the configs
-cover the convection model (final and time-averaged error, a truncation
-radius small enough that the projection fires, 3DVAR), the 60-site model
-with a 3DVAR gain over 40 observed coordinates, the spectral flow at
-k_max 3, an observer beside a particle filter, and a config in which some
-truths, some filter rows and some particle clouds blow up. The spectral
-goldens (``ns_k3`` here and in ``roundtrip/``) were captured again when the
-advection term moved from convolution tables to dealiased FFTs, after every
-changed number was checked to agree with the table-era file to 1e-12
-relative (state coefficients against their state's largest coefficient).
+row-batched engine must reproduce both byte for byte, however many steps
+of noise it draws at once. Together the configs cover the convection model
+(final and time-averaged error, a truncation radius small enough that the
+projection fires, 3DVAR), the 60-site model with a 3DVAR gain over 40
+observed coordinates, the spectral flow at k_max 3, an observer beside a
+particle filter, and a config in which some truths, some filter rows and
+some particle clouds blow up. The spectral goldens (``ns_k3`` here and in
+``roundtrip/``) were captured again when the advection term moved from
+convolution tables to dealiased FFTs, after every changed number was
+checked to agree with the table-era file to 1e-12 relative (state
+coefficients against their state's largest coefficient).
 
 Each ``goldens/roundtrip/<name>.cfg`` is run through ``simulate`` and then
 ``filter``; the truth, observation and filter-run files were captured from
@@ -28,7 +29,7 @@ import os
 import numpy as np
 import pytest
 
-from chaosfilter import cli, filters, observation
+from chaosfilter import cli, filters, harness, observation
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 CONFIGS = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.cfg")))
@@ -49,17 +50,32 @@ def test_every_golden_config_is_collected():
     assert {_name(c) for c in ROUNDTRIP_CONFIGS} == {"l96_60", "ns_k3"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("config", CONFIGS, ids=_name)
-def test_mse_table_matches_golden_bytes(tmp_path, capsys, config):
+def _assert_mse_table_matches_golden(tmp_path, config):
     golden = config[: -len(".cfg")] + ".csv"
     out = tmp_path / "report.csv"
     assert cli.main(["mse-table", "--config", config, "--out", str(out)]) == 0
-    capsys.readouterr()
     for suffix in ("", ".meta"):
         with open(golden + suffix, "rb") as fh:
             want = fh.read()
         assert (tmp_path / ("report.csv" + suffix)).read_bytes() == want, suffix or ".csv"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_mse_table_matches_golden_bytes(tmp_path, capsys, config):
+    _assert_mse_table_matches_golden(tmp_path, config)
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("config", CONFIGS, ids=_name)
+def test_mse_table_does_not_depend_on_noise_chunk(tmp_path, capsys, monkeypatch, config, chunk):
+    # l63_blowup runs 20 steps, so at these sizes its blow-ups fall
+    # inside chunks, on their edges and in the short last chunk
+    monkeypatch.setattr(harness, "NOISE_CHUNK", chunk)
+    _assert_mse_table_matches_golden(tmp_path, config)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("config", ROUNDTRIP_CONFIGS, ids=_name)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,36 @@ def test_multiple_filters_reported():
     report = harness.run_mse_experiment(cfg)
     names = {r.filter_name for r in report.rows}
     assert names == {"trunc", "plain", "blend"}
+
+
+def _traced_peak_of_experiment(cfg):
+    """Peak traced allocation, in bytes, of one Monte Carlo run."""
+    tracemalloc.start()
+    try:
+        harness.run_mse_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fixed_gain_experiment_memory_does_not_grow_with_horizon():
+    # noise comes in chunks of NOISE_CHUNK steps, and without a particle
+    # filter no truth is stored, so at 200 and 800 steps the run holds the
+    # same arrays
+    assert 2 * harness.NOISE_CHUNK <= 200
+    peaks = {}
+    for T in (2, 2, 8):  # the first run loads what a run loads once
+        peaks[T] = _traced_peak_of_experiment(tiny_config(
+            model={"kind": "lorenz96", "dimension": "60"},
+            observation={"kind": "every-third-unobserved"},
+            filters=[
+                {"name": "trunc", "kind": "truncated-observer"},
+                {"name": "blend", "kind": "3dvar", "sigma2": "0.5"},
+            ],
+            epsilons=[0.1, 0.01],
+            T=T,
+        ))
+    assert peaks[8] < 1.05 * peaks[2], peaks
 
 
 # ---------------------------------------------------------------------------

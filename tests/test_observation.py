@@ -165,6 +165,35 @@ def test_noise_covariance_matches_declared_variances():
         assert abs(var[idx] - noise.std**2) < 3.0 * se
 
 
+NOISE_KINDS = [
+    observation.GaussianObservedNoise(observation.coordinate_projection(3, [0])),
+    observation.GaussianObservedNoise(observation.every_third_unobserved(60)),
+] + [
+    observation.SpectralModeNoise(observation.fourier_cutoff(SpectralGrid(k_max), k_max**2))
+    for k_max in range(1, 5)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(range(len(NOISE_KINDS))),
+    a=st.integers(1, 70),
+    b=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_chunks_draw_the_block_bit_for_bit(kind, a, b, seed):
+    # the Monte Carlo engine draws each trial's noise in chunks, and a
+    # particle run draws the whole block again from the same substream
+    noise = NOISE_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    chunks = np.concatenate([noise.sample(rng, a), noise.sample(rng, b)])
+    rng = np.random.default_rng(seed)
+    singles = np.stack([noise.sample(rng) for _ in range(a + b)])
+    block = noise.sample(np.random.default_rng(seed), a + b)
+    assert chunks.tobytes() == block.tobytes()
+    assert singles.tobytes() == block.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 

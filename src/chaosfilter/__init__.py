@@ -4,7 +4,6 @@ from .dynamics import (
     BlowUpError,
     DissipativeModel,
     absorbing_radius,
-    linear_dissipative,
     lorenz63,
     lorenz96,
 )

@@ -145,11 +145,9 @@ def _cmd_filter(args):
     projection = cfgmod.build_projection(cfg.observation, model)
     noise = cfgmod.build_noise(cfg.noise, projection)
     init_sampler = cfgmod.build_init_sampler(cfg.model, model)
-    obs = _read_data(observation.import_observations, args.obs, "observation")
-    if obs.ys.shape[1] != model.dim:
-        raise ConfigError(
-            f"observation file has dimension {obs.ys.shape[1]}, model has {model.dim}"
-        )
+    obs = _read_data(
+        lambda path: observation.import_observations(path, model.dim), args.obs, "observation"
+    )
     # one unobserved column at a time, so no temporary as large as ys
     if any(np.any(obs.ys[:, i] != 0) for i in np.flatnonzero(~projection.mask)):
         raise ConfigError("observation file has values at indices the model does not observe")
@@ -254,7 +252,7 @@ def _cmd_detect(args):
         S, alpha = linear_theory.contractive_norm(L - result.gain @ P)
         print(f"contraction factor alpha = {alpha:.6g} in the constructed norm")
     if args.out:
-        with open(args.out, "w") as fh:
+        with observation.outputs_on_success(args.out) as (out_tmp,), open(out_tmp, "w") as fh:
             fh.write(f"detectable = {verdict.detectable}\n")
             fh.write(f"rho_closed_loop = {format(result.radius, '.17g')}\n")
     return 0

@@ -1,15 +1,12 @@
 """Dissipative quadratic ODE models and their discrete solution maps.
 
 The model family is ``dv/dt + A v + B(v,v) = f`` with a symmetric,
-energy-conserving bilinear term ``B``. Concrete instances are the two
-classic chaotic benchmarks (:func:`lorenz63`, :func:`lorenz96`) plus
-arbitrary linear systems for testing (:func:`linear_dissipative`). The
+energy-conserving bilinear term ``B``. The concrete instances are the two
+classic chaotic benchmarks (:func:`lorenz63`, :func:`lorenz96`). The
 discrete map advancing a state over one assimilation interval ``h`` is a
-fixed-substep classical RK4, so every trajectory is reproducible bit for
-bit.
+fixed-substep classical RK4, run by each model's batched kernel in
+``_kernels``, so every trajectory is reproducible bit for bit.
 """
-
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,7 +42,8 @@ def _as_batch(u):
 
 
 class DissipativeModel:
-    """Quadratic ODE ``dv/dt + A v + B(v,v) = f`` with an RK4 solution map.
+    """Quadratic ODE ``dv/dt + A v + B(v,v) = f`` whose RK4 solution map is
+    a batched kernel; ``A``, ``f`` and ``B`` describe the field it integrates.
 
     Parameters
     ----------
@@ -59,13 +57,12 @@ class DissipativeModel:
         ``bilinear(u, w) -> (d,)`` evaluating the symmetric form ``B(u, w)``.
     substeps : int
         RK4 substeps per assimilation interval.
-    stepper : callable, optional
-        Fast batched stepper ``(U, nsub, dt) -> U`` replacing the generic
-        RK4 loop; must agree with it to rounding accuracy.
+    stepper : callable
+        Batched RK4 stepper ``(U, nsub, dt) -> U`` advancing each row of
+        ``U`` by ``nsub`` substeps of length ``dt``.
     """
 
-    def __init__(self, name, linear_op, forcing, bilinear, substeps=10,
-                 stepper: Optional[Callable] = None):
+    def __init__(self, name, linear_op, forcing, bilinear, substeps, stepper):
         self.name = name
         self.linear_op = np.asarray(linear_op, dtype=float)
         self.forcing = np.asarray(forcing, dtype=float)
@@ -73,9 +70,8 @@ class DissipativeModel:
         self.bilinear = bilinear
         self.substeps = int(substeps)
         self._stepper = stepper
-        # dissipation budget d/dt|v|^2 + r1 |v|^2 <= r1 * r0
+        # dissipation budget d/dt|v|^2 + |v|^2 <= r0
         self.r0 = float(self.forcing @ self.forcing)
-        self.r1 = 1.0
 
     def vector_field(self, u):
         """Right-hand side ``f - A u - B(u, u)``."""
@@ -86,22 +82,6 @@ class DissipativeModel:
             )
         return self.forcing - self.linear_op @ u - self.bilinear(u, u)
 
-    def _generic_step(self, batch, nsub, dt):
-        out = batch.copy()
-        for i in range(out.shape[0]):
-            x = out[i]
-            for _ in range(nsub):
-                k1 = self.forcing - self.linear_op @ x - self.bilinear(x, x)
-                x1 = x + 0.5 * dt * k1
-                k2 = self.forcing - self.linear_op @ x1 - self.bilinear(x1, x1)
-                x2 = x + 0.5 * dt * k2
-                k3 = self.forcing - self.linear_op @ x2 - self.bilinear(x2, x2)
-                x3 = x + dt * k3
-                k4 = self.forcing - self.linear_op @ x3 - self.bilinear(x3, x3)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i] = x
-        return out
-
     def step_batch(self, states, h, substeps=None):
         """Advance a batch of states (n, d) by one assimilation interval.
 
@@ -111,12 +91,7 @@ class DissipativeModel:
         nsub = self.substeps if substeps is None else int(substeps)
         if h <= 0:
             raise ValueError("assimilation interval h must be positive")
-        dt = h / nsub
-        if self._stepper is not None:
-            out = self._stepper(batch, nsub, dt)
-        else:
-            out = self._generic_step(batch, nsub, dt)
-        return check_finite(self.name, h, out)
+        return check_finite(self.name, h, self._stepper(batch, nsub, h / nsub))
 
     def step(self, u, h, substeps=None):
         """Advance a single state by one assimilation interval of length h."""
@@ -173,18 +148,6 @@ def lorenz96(d, substeps=10) -> DissipativeModel:
         return _kernels.lorenz96_rk4(batch, nsub, dt, forcing)
 
     return DissipativeModel(f"lorenz96-{d}", np.eye(d), f, bilinear, substeps, stepper)
-
-
-def linear_dissipative(linear_op, forcing=None, substeps=10, name="linear") -> DissipativeModel:
-    """Model with B = 0; useful as an exactly solvable integrator check."""
-    A = np.asarray(linear_op, dtype=float)
-    d = A.shape[0]
-    f = np.zeros(d) if forcing is None else np.asarray(forcing, dtype=float)
-
-    def bilinear(u, w):
-        return np.zeros(d)
-
-    return DissipativeModel(name, A, f, bilinear, substeps)
 
 
 def absorbing_radius(model) -> float:

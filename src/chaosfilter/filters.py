@@ -87,10 +87,7 @@ def project_ball_V(vnorm: VNorm, radius, x):
         raise ValueError("ball radius must be positive")
     x = np.asarray(x)
     if x.ndim == 1:
-        size = vnorm.norm(x)
-        if size <= radius:
-            return x.copy()
-        return x * (radius / size)
+        return project_ball_V(vnorm, radius, x[None])[0]
     sizes = np.sqrt(vnorm.row_values(x))
     out = x.copy()
     outside = ~(sizes <= radius)
@@ -193,10 +190,6 @@ class FixedGainObserver:
                 model.step_batch(z, observations.h), observations.ys[j : j + 1]
             )
             yield FilterStep(z[0])
-
-    def run(self, model, observations, rng=None, truth=None):
-        """Filter one observation sequence (``rng`` is unused)."""
-        return run_observer(model, self, observations, truth=truth)
 
 
 def _step_one(observer, model, z, y_next, h):
@@ -472,10 +465,6 @@ class ParticleFilter:
                 idx = systematic_resample(rng, w)
                 particles = particles[idx]
                 logw = np.zeros(n_particles)
-
-    def run(self, model, observations, rng, truth=None) -> FilterRun:
-        """Filter one observation sequence (see :func:`particle_filter`)."""
-        return particle_filter(model, self, observations, rng, truth=truth)
 
 
 def particle_filter(model, pf: ParticleFilter, observations, rng, truth=None) -> FilterRun:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import filters
 from .dynamics import BlowUpError
-from .observation import ObservationSequence, substream
+from .observation import ObservationSequence, outputs_on_success, substream
 
 
 def _fmt(x) -> str:
@@ -226,7 +226,7 @@ def run_mse_experiment(config) -> MseReport:
             obs = ObservationSequence(eps=eps, h=h, ys=observed + eps * w)
             rng = substream(seed, "filter", name, i, k, _fmt(eps))
             try:
-                run = est.run(model, obs, rng, truth=truths[i])
+                run = filters.particle_filter(model, est, obs, rng, truth=truths[i])
             except BlowUpError:
                 excluded[g, t] = True
                 continue
@@ -266,21 +266,22 @@ def run_mse_experiment(config) -> MseReport:
 
 def write_report(report: MseReport, path):
     """CSV table of the Monte Carlo errors plus a plain-text sidecar with
-    the generating configuration; byte-stable for a fixed seed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filter", "epsilon", "mse", "stderr", "n_trials", "excluded"])
-        for r in report.rows:
-            writer.writerow(
-                [r.filter_name, _fmt(r.eps), _fmt(r.mse), _fmt(r.stderr), r.n_used, r.n_excluded]
-            )
-    with open(str(path) + ".meta", "w") as fh:
-        fh.write(f"seed = {report.seed}\n")
-        for key in sorted(report.config_echo):
-            fh.write(f"{key} = {report.config_echo[key]}\n")
-        for name in sorted(report.slopes):
-            slope, half = report.slopes[name]
-            fh.write(f"slope[{name}] = {_fmt(slope)} +- {_fmt(half)}\n")
+    the generating configuration; byte-stable for a fixed seed. Neither
+    file is replaced unless both are written."""
+    with outputs_on_success(path, str(path) + ".meta") as (csv_tmp, meta_tmp):
+        with open(csv_tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["filter", "epsilon", "mse", "stderr", "n_trials", "excluded"])
+            for r in report.rows:
+                writer.writerow([r.filter_name, _fmt(r.eps), _fmt(r.mse), _fmt(r.stderr),
+                                 r.n_used, r.n_excluded])
+        with open(meta_tmp, "w") as fh:
+            fh.write(f"seed = {report.seed}\n")
+            for key in sorted(report.config_echo):
+                fh.write(f"{key} = {report.config_echo[key]}\n")
+            for name in sorted(report.slopes):
+                slope, half = report.slopes[name]
+                fh.write(f"slope[{name}] = {_fmt(slope)} +- {_fmt(half)}\n")
 
 
 def read_report(path):
@@ -359,10 +360,6 @@ class SqueezeEntry:
 class SqueezeProbeResult:
     entries: list
 
-    @property
-    def alpha_hat(self):
-        return self.entries[0].alpha_hat
-
 
 def empirical_squeezing(
     model,
@@ -422,7 +419,7 @@ def empirical_squeezing(
 
 def write_squeeze_histogram(result: SqueezeProbeResult, path):
     """CSV of (radius pair, ratio-bin, count) for every probed pair."""
-    with open(path, "w", newline="") as fh:
+    with outputs_on_success(path) as (tmp,), open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["radius_signal", "radius_estimator", "bin_low", "bin_high", "count"])
         for e in result.entries:

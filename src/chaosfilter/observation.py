@@ -13,6 +13,7 @@ order, or in parallel, without changing a single draw.
 
 import contextlib
 import csv
+import errno
 import hashlib
 import itertools
 import os
@@ -316,10 +317,15 @@ def outputs_on_success(*paths):
     """Yield a temporary path beside each of ``paths``. When the block
     succeeds each temporary file is renamed over its path; when it or a
     rename raises, the temporary files are removed, so a failed run leaves
-    no output, and an OSError names the path rather than its temporary."""
+    no output, and an OSError names the path rather than its temporary.
+    A path that is a directory fails before the first rename, so no path
+    is replaced unless all are."""
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
         yield temps
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException as exc:
@@ -353,7 +359,7 @@ def write_table(path, prefix, values, extra=()):
     with one extra column for each ``(name, array)`` of ``extra`` whose
     array is not None."""
     extra = [(name, column) for name, column in extra if column is not None]
-    with open(path, "w", newline="") as fh:
+    with outputs_on_success(path) as (tmp,), open(tmp, "w", newline="") as fh:
         table = TableWriter(fh, prefix, values, [name for name, _ in extra])
         for j, (row, *more) in enumerate(zip(values, *(column for _, column in extra))):
             table.write(j, row, *more)
@@ -409,12 +415,25 @@ def export_observations(seq: ObservationSequence, projection, path):
     )
 
 
-def import_observations(path) -> ObservationSequence:
+def _positive_int(path, meta, key):
+    try:
+        value = int(meta[key])
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{path}.meta: {key} must be a positive integer, got {meta[key]!r}")
+    return value
+
+
+def import_observations(path, dim=None) -> ObservationSequence:
     """Read back a sequence written by :func:`export_observations`.
 
-    Raises ValueError on a ``.meta`` file missing a required key, or whose
-    eps is negative or not finite or whose h is not positive and finite,
-    on a row that is not three fields of step, index token and number, on a
+    Raises ValueError, before any array is allocated, on a ``.meta`` file
+    missing a required key, whose n_steps or dim is not a positive integer,
+    whose n_steps exceeds the steps the file's size can hold, whose dim
+    differs from ``dim`` when given, or whose eps is negative or not finite
+    or whose h is not positive and finite. Then raises ValueError on a row
+    that is not three fields of step, index token and number, on a
     malformed index token (an ``r``/``i`` suffix in a real file, or none in
     a complex one), on a step or index outside the ranges the ``.meta`` file
     declares, on a row that repeats an earlier one's step and index, and on
@@ -430,8 +449,15 @@ def import_observations(path) -> ObservationSequence:
     missing = [key for key in ("eps", "h", "n_steps", "dim") if key not in meta]
     if missing:
         raise ValueError(f"{path}.meta lacks {', '.join(missing)}")
-    n_steps = int(meta["n_steps"])
-    dim = int(meta["dim"])
+    n_steps = _positive_int(path, meta, "n_steps")
+    # a step needs a row, and the shortest, "1,0,0" and a line end, is 6 bytes
+    most = os.path.getsize(path) // 6
+    if n_steps > most:
+        raise ValueError(f"{path}.meta: n_steps is {n_steps}, the file can hold {most} at most")
+    file_dim = _positive_int(path, meta, "dim")
+    if dim is not None and file_dim != dim:
+        raise ValueError(f"{path}.meta: dim is {file_dim}, the model has {dim}")
+    dim = file_dim
     eps, h = float(meta["eps"]), float(meta["h"])
     if not 0 <= eps < np.inf:
         raise ValueError(f"{path}.meta: eps must be nonnegative and finite, got {meta['eps']!r}")

@@ -105,7 +105,6 @@ class SpectralNSModel:
         self.theta = self.nu * grid.scale**2
         fnorm = np.sqrt(grid.h1_norm2(self.forcing))
         self.r0 = (fnorm / self.theta) ** 2
-        self.r1 = self.theta
 
     # -- algebra ----------------------------------------------------------------
 
@@ -173,58 +172,20 @@ class SpectralNSModel:
         return f"SpectralNSModel(k_max={self.grid.k_max}, nu={self.nu})"
 
 
-def _forcing_from_dict(grid, spec):
-    """Scalar forcing dict {(n1, n2): coeff} -> representative array.
+def navier_stokes_spectral(nu, forcing, k_max, period=TWO_PI, substeps=5) -> SpectralNSModel:
+    """Build the truncated spectral model forced by the scalar dict
+    ``forcing`` = ``{(n1, n2): coeff}``.
 
     Keys may address either lattice half; the conjugate partner is implied.
     """
-    out = np.zeros(grid.n_reps, dtype=np.complex128)
-    for n, val in spec.items():
+    grid = SpectralGrid(k_max, period)
+    reps = np.zeros(grid.n_reps, dtype=np.complex128)
+    for n, val in forcing.items():
         if tuple(n) == (0, 0):
             raise ValueError("forcing must have zero mean: mode (0, 0) not allowed")
         idx = grid.index_of(n)
         if idx < grid.n_reps:
-            out[idx] = complex(val)
+            reps[idx] = complex(val)
         else:
-            out[idx - grid.n_reps] = -np.conj(complex(val))
-    return out
-
-
-def forcing_from_velocity(grid, spec):
-    """Vector forcing dict {(n1, n2): (f1, f2)} -> representative scalars.
-
-    Each coefficient must be orthogonal to its wavevector (divergence-free)
-    and the zero mode is rejected.
-    """
-    scalars = {}
-    for n, vec in spec.items():
-        if tuple(n) == (0, 0):
-            raise ValueError("forcing must have zero mean: mode (0, 0) not allowed")
-        idx = grid.index_of(n)
-        k = grid.kvecs[idx]
-        vec = np.asarray(vec, dtype=np.complex128)
-        div = k[0] * vec[0] + k[1] * vec[1]
-        if abs(div) > 1e-12 * (1.0 + np.linalg.norm(vec)):
-            raise ValueError(f"forcing mode {tuple(n)} is not divergence-free")
-        kperp = np.array([-k[1], k[0]]) / np.sqrt(k @ k)
-        scalars[tuple(n)] = complex(kperp[0] * vec[0] + kperp[1] * vec[1])
-    return _forcing_from_dict(grid, scalars)
-
-
-def navier_stokes_spectral(nu, forcing, k_max, period=TWO_PI, substeps=5) -> SpectralNSModel:
-    """Build the truncated spectral model.
-
-    ``forcing`` may be a representative-coefficient array, a scalar dict
-    ``{(n1, n2): coeff}``, or a vector dict ``{(n1, n2): (f1, f2)}`` (the
-    latter is validated to be divergence-free).
-    """
-    grid = SpectralGrid(k_max, period)
-    if isinstance(forcing, dict):
-        first = next(iter(forcing.values()), 0.0)
-        if np.ndim(first) > 0:
-            reps = forcing_from_velocity(grid, forcing)
-        else:
-            reps = _forcing_from_dict(grid, forcing)
-    else:
-        reps = np.asarray(forcing, dtype=np.complex128)
+            reps[idx - grid.n_reps] = -np.conj(complex(val))
     return SpectralNSModel(nu, reps, grid, substeps=substeps)

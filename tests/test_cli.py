@@ -648,11 +648,25 @@ CORRUPTIONS = {
     "meta-h-nan": _set_meta("h", "nan"),
     "meta-eps-negative": _set_meta("eps", "-1"),
     "meta-eps-nan": _set_meta("eps", "nan"),
+    "meta-n_steps-huge": _set_meta("n_steps", str(10**12)),
+    "meta-n_steps-negative": _set_meta("n_steps", "-3"),
+    "meta-dim-huge": _set_meta("dim", str(10**12)),
     "truth-bad-number": lambda obs, truth: _append(truth, "21," + "x," * 59 + "0\n"),
     "truth-short": lambda obs, truth: _drop_last_line(truth),
     "truth-empty": lambda obs, truth: open(truth, "w").write("j,v0\n"),
     "missing-row": _drop_rows(lambda row: row[:2] != ["1", "0"]),
     "missing-index": _drop_rows(lambda row: row[1] != "0"),
+}
+
+# the .meta key each bad value is reported under
+META_KEYS = {
+    "meta-h-zero": "h",
+    "meta-h-nan": "h",
+    "meta-eps-negative": "eps",
+    "meta-eps-nan": "eps",
+    "meta-n_steps-huge": "n_steps",
+    "meta-n_steps-negative": "n_steps",
+    "meta-dim-huge": "dim",
 }
 
 
@@ -676,6 +690,8 @@ def test_corrupted_observation_files_exit_one(tmp_path, capsys, corruption):
     err = capsys.readouterr().err
     assert err.startswith("chaosfilter: config error:")
     assert "Traceback" not in err
+    if corruption in META_KEYS:
+        assert f".meta: {META_KEYS[corruption]} " in err, err
 
 
 # a single RK4 substep across h = 2 on the cyclic model overflows
@@ -844,6 +860,19 @@ def test_mse_table_runs_and_is_deterministic(tmp_path, capsys):
     assert "scaling slope" not in capsys.readouterr().out  # only 2 eps values
 
 
+def test_refused_meta_path_leaves_the_old_report(tmp_path, capsys):
+    cfg = write(tmp_path, TINY.format(out="o.csv"))
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"an earlier report\r\n")
+    os.mkdir(tmp_path / "r.csv.meta")
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["mse-table", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"chaosfilter: Is a directory: {out}.meta\n"
+    assert out.read_bytes() == b"an earlier report\r\n"
+    # no temporary file either
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_mse_table_seed_override_changes_output(tmp_path):
     out = str(tmp_path / "a.csv")
     cfg = write(tmp_path, TINY.format(out=out))
@@ -906,7 +935,10 @@ def test_filter_streams_the_rows_of_the_collected_run(tmp_path, capsys, kind):
         exp.filters[0], model, projection, noise, init_sampler
     ).at_eps(seq.eps)
     rng = observation.substream(exp.seed, "filter-cli")
-    run = estimator.run(model, seq, rng, truth=observation.import_truth(truth))
+    steps = estimator.steps(model, seq, rng)
+    run = filters.collect_run(
+        model, estimator.kind, steps, seq.n_steps, truth=observation.import_truth(truth)
+    )
     filters.export_filter_run(run, tmp_path / "whole.csv")
     assert streamed.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 

@@ -342,7 +342,9 @@ def test_particle_run_carries_posterior_spread():
     init = observation.standard_normal_init(2)
     ys = np.zeros((5, 2))
     obs = observation.ObservationSequence(eps=0.5, h=1.0, ys=ys)
-    pf = filters.ParticleFilter(P, noise, 200, init).run(model, obs, np.random.default_rng(14))
+    pf = filters.particle_filter(
+        model, filters.ParticleFilter(P, noise, 200, init), obs, np.random.default_rng(14)
+    )
     assert pf.degenerate_at is None
     assert pf.post_trace.shape == (6,)
     assert np.all(pf.post_trace >= 0.0)

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosfilter import dynamics, spectral
-from chaosfilter.spectral import (
-    SpectralGrid,
-    forcing_from_velocity,
-    navier_stokes_spectral,
-)
+from chaosfilter.spectral import SpectralGrid, navier_stokes_spectral
 
 
 @pytest.fixture(scope="module")
@@ -224,17 +220,7 @@ def test_energy_conservation_l2_and_h1(grid, model):
 # forcing construction
 
 
-def test_vector_forcing_requires_divergence_free(grid):
-    k = grid.kvecs[grid.index_of((1, 0))]
-    with pytest.raises(ValueError):
-        forcing_from_velocity(grid, {(1, 0): (1.0 * k[0] + 1.0, 0.0)})
-    # orthogonal to k: fine
-    forcing_from_velocity(grid, {(1, 0): (0.0, 2.0)})
-
-
-def test_zero_mode_rejected(grid):
-    with pytest.raises(ValueError):
-        forcing_from_velocity(grid, {(0, 0): (1.0, 0.0)})
+def test_zero_mode_rejected():
     with pytest.raises(ValueError):
         navier_stokes_spectral(0.1, {(0, 0): 1.0}, 4)
 

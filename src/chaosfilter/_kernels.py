@@ -2,123 +2,113 @@
 
 One vectorized numpy build per kernel. States are batched row-wise: shape
 ``(n_batch, dim)`` float64 (complex128 for spectral coefficients), and the
-per-row arithmetic does not depend on the batch size. Behind that contract
-the Lorenz-63 kernel works in a ``(3, n_batch)`` layout, and both RK4
-kernels keep their stages in buffers allocated once per call, so their
-substeps allocate nothing.
+per-row arithmetic does not depend on the batch size.
+
+Both Lorenz kernels run through one RK4 driver, ``_rk4``, which owns the
+stages, the combination (dt/6) (((k1 + 2 k2) + 2 k3) + k4) and the update
+of the state. Each kernel supplies only its layout, its buffers and its
+field. Behind the ``(n_batch, dim)`` contract both step a ``(dim,
+n_batch)`` copy, so each component is one contiguous row of the batch:
+the Lorenz-63 field works on the rows x, y, z, and the Lorenz-96 field
+reads the cyclic neighbours as row slices of a ghost-padded buffer. Every
+buffer is allocated once per call, so the substeps allocate nothing.
 """
 
 import numpy as np
 
 __all__ = ["lorenz63_rk4", "lorenz96_rk4", "bilinear_conv"]
 
+add, subtract, multiply = np.add, np.subtract, np.multiply
+
+
+def _rk4(u, nsub, dt, s, k, field):
+    """Advance the state ``u`` in place through nsub RK4 substeps; return it.
+
+    ``field(i)`` writes the field of stage i into ``k[i]`` of the
+    (4, *u.shape) stage buffer ``k``: stage 0 is the field at ``u``, and
+    stage i > 0 the field at the stage state ``s`` = u + c k[i-1], with
+    c = dt/2, dt/2, dt. Every constant is a 0-d array: at a few rows a
+    Python-float operand costs more than its arithmetic.
+    """
+    half, full, sixth, two = (np.array(c, u.dtype) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+    k1, k2, k3, k4 = k
+    k23, stages = k[1:3], ((1, k1, half), (2, k2, half), (3, k3, full))
+    for _ in range(nsub):
+        field(0)
+        for i, prev, c in stages:
+            multiply(prev, c, s)
+            add(s, u, s)
+            field(i)
+        # (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed in s and added to u
+        multiply(k23, two, k23)
+        add(k1, k2, s)
+        add(s, k3, s)
+        add(s, k4, s)
+        multiply(s, sixth, s)
+        add(u, s, u)
+    return u
+
 
 def lorenz63_rk4(u, nsub, dt, a, b, f3):
     """Advance (n,3) states through nsub RK4 substeps of size dt.
 
-    Works on a (3, n) copy of ``u`` with the stages k1..k4 in one (4, 3, n)
-    buffer, so every operation writes into preallocated memory; the
-    floating-point operations and their order are those of the (n, 3) field
-    a (y - x), -a x - y - x z, f3 - b z + x y.
+    Returns a new C-contiguous (n, 3) array and leaves ``u`` untouched. The
+    field a (y - x), -a x - y - x z, f3 - b z + x y is evaluated on the
+    rows x, y, z of (3, n) buffers, with the operations and order of the
+    (n, 3) form; stage 0 reads the state itself.
     """
     v = np.array(u.T, order="C")
-    k = np.empty((4,) + v.shape)
-    s = np.empty_like(v)
-    t = np.empty_like(v[0])
-    k1, k2, k3, k4 = k
-    half, sixth, neg_a = 0.5 * dt, dt / 6.0, -a
-    # row views of each buffer, taken once per call
-    rows_v, rows_s, rows_k = tuple(v), tuple(s), [tuple(ki) for ki in k]
+    s, k, t = np.empty_like(v), np.empty((4,) + v.shape, v.dtype), np.empty_like(v[0])
+    a, neg_a, b, f3 = (np.array(c, v.dtype) for c in (a, -a, b, f3))
+    # row views of the state, the stage state and each stage, taken once
+    rows, rows_k = (tuple(v), tuple(s)), [tuple(ki) for ki in k]
 
-    def field(state, out):
-        (x, y, z), (fx, fy, fz) = state, out
-        np.subtract(y, x, out=fx)
-        fx *= a
-        np.multiply(x, neg_a, out=fy)
-        fy -= y
-        np.multiply(x, z, out=t)
-        fy -= t
-        np.multiply(z, b, out=fz)
-        np.subtract(f3, fz, out=fz)
-        np.multiply(x, y, out=t)
-        fz += t
+    def field(i):
+        (x, y, z), (fx, fy, fz) = rows[i > 0], rows_k[i]
+        subtract(y, x, fx)
+        multiply(fx, a, fx)
+        multiply(x, neg_a, fy)
+        subtract(fy, y, fy)
+        multiply(x, z, t)
+        subtract(fy, t, fy)
+        multiply(z, b, fz)
+        subtract(f3, fz, fz)
+        multiply(x, y, t)
+        add(fz, t, fz)
 
-    def stage(prev, c, out):
-        np.multiply(prev, c, out=s)
-        np.add(s, v, out=s)
-        field(rows_s, out)
-
-    for _ in range(nsub):
-        field(rows_v, rows_k[0])
-        stage(k1, half, rows_k[1])
-        stage(k2, half, rows_k[2])
-        stage(k3, dt, rows_k[3])
-        # (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), added to the state
-        np.multiply(k2, 2.0, out=s)
-        s += k1
-        k3 *= 2.0
-        s += k3
-        s += k4
-        s *= sixth
-        v += s
-    return np.ascontiguousarray(v.T)
+    return np.ascontiguousarray(_rk4(v, nsub, dt, s, k, field).T)
 
 
 def lorenz96_rk4(u, nsub, dt, forcing):
     """Advance (n,d) cyclic-advection states through nsub RK4 substeps.
 
+    Returns a new C-contiguous (n, d) array and leaves ``u`` untouched.
     The field (s[i+1] - s[i-2]) s[i-1] - s[i] + forcing reads the cyclic
-    neighbours as slices of one ghost-padded (n, d+3) buffer: columns
-    2..d+1 hold the stage state, columns 0 and 1 copies of sites d-2 and
-    d-1, and column d+2 a copy of site 0. The stages and the sum live in
-    buffers allocated once per call, and every constant is a 0-d array:
-    at one row a Python-float operand costs a ufunc call more than its
-    arithmetic.
+    neighbours as row slices of one ghost-padded (d+3, n) buffer: rows
+    2..d+1 hold the stage state, rows 0 and 1 copies of sites d-2 and d-1,
+    and row d+2 a copy of site 0.
     """
-    n, d = u.shape
-    pad = np.empty((n, d + 3), dtype=u.dtype)
-    s, p1, m2, m1 = pad[:, 2:-1], pad[:, 3:], pad[:, :-3], pad[:, 1:-2]
-    ghosts = ((pad[:, :2], pad[:, d:d + 2]), (pad[:, d + 2], pad[:, 2]))
-    k = np.empty((4, n, d), dtype=u.dtype)
-    k1, k2, k3, k4 = k
-    k23, twice = k[1:3], np.empty((2, n, d), dtype=u.dtype)
-    t = np.empty_like(k1)
-    forcing, half, full, sixth, two = (
-        np.array(c, dtype=u.dtype) for c in (forcing, 0.5 * dt, dt, dt / 6.0, 2.0)
-    )
-    add, subtract, multiply = np.add, np.subtract, np.multiply
+    v = np.array(u.T, order="C")
+    d, n = v.shape
+    pad = np.empty((d + 3, n), v.dtype)
+    s, p1, m2, m1 = pad[2:-1], pad[3:], pad[:-3], pad[1:-2]
+    ghosts = ((pad[:2], pad[d:d + 2]), (pad[d + 2], pad[2]))
+    k = np.empty((4, d, n), v.dtype)
+    ks, forcing = tuple(k), np.array(forcing, v.dtype)
 
-    def field(out):
-        # (p1 - m2) * m1 - s + forcing of the stage state in s; a slice
-        # assignment copies a short row faster than np.copyto
+    def field(i):
+        # a slice assignment copies a short row faster than np.copyto
+        if not i:
+            s[...] = v
         for ghost, site in ghosts:
             ghost[...] = site
+        out = ks[i]
         subtract(p1, m2, out)
         multiply(out, m1, out)
         subtract(out, s, out)
         add(out, forcing, out)
 
-    def stage(prev, c, out):
-        # the field at u + c * prev
-        multiply(prev, c, t)
-        add(u, t, s)
-        field(out)
-
-    u = u.copy()
-    for _ in range(nsub):
-        s[...] = u
-        field(k1)
-        stage(k1, half, k2)
-        stage(k2, half, k3)
-        stage(k3, full, k4)
-        # (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), added to the state
-        multiply(k23, two, twice)
-        add(k1, twice[0], t)
-        add(t, twice[1], t)
-        add(t, k4, t)
-        multiply(t, sixth, t)
-        add(u, t, u)
-    return u
+    return np.ascontiguousarray(_rk4(v, nsub, dt, s, k, field).T)
 
 
 def bilinear_conv(u, w, shape, put, mirror, mult, fold):

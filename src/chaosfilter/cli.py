@@ -254,7 +254,7 @@ def _cmd_detect(args):
     if args.out:
         with observation.outputs_on_success(args.out) as (out_tmp,), open(out_tmp, "w") as fh:
             fh.write(f"detectable = {verdict.detectable}\n")
-            fh.write(f"rho_closed_loop = {format(result.radius, '.17g')}\n")
+            fh.write(f"rho_closed_loop = {observation.format_float(result.radius)}\n")
     return 0
 
 
@@ -275,19 +275,19 @@ def _cmd_squeeze_probe(args):
     R = filters.default_ball_radius(model, vnorm)
     r_pairs = [(s * r, s * R) for s in sec["scales"]]
     rng = observation.substream(sec["seed"] if args.seed is None else args.seed, "squeeze")
-    result = harness.empirical_squeezing(
+    entries = harness.empirical_squeezing(
         model, projection, gain, vnorm, sec["h"], r_pairs, sec["n_samples"], rng,
         substeps=sec["substeps"] or None,
     )
     print(f"{'r_signal':>12}{'r_estimator':>13}{'alpha_hat':>12}{'frac>1':>10}")
-    for e in result.entries:
+    for e in entries:
         print(
             f"{e.radius_signal:>12.5g}{e.radius_estimator:>13.5g}"
             f"{e.alpha_hat:>12.5g}{e.frac_above_one:>10.4f}"
         )
     out = args.out
     if out:
-        harness.write_squeeze_histogram(result, out)
+        harness.write_squeeze_histogram(entries, out)
         print(f"wrote {out}")
     return 0
 

@@ -189,6 +189,10 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] t: T / h must be finite, got {self.T} / {self.h}")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"T={self.T} is not an integer multiple of h={self.h}")
+        if self.n_steps < 1:
+            raise ConfigError(
+                f"[experiment] t: T / h must give at least one step, got {self.T} / {self.h}"
+            )
         if not self.filters:
             raise ConfigError("no [filter:...] section configured")
         if 0 in self.epsilons and any(spec.get("kind") == "particle" for spec in self.filters):
@@ -200,9 +204,9 @@ class ExperimentConfig:
 
     def echo(self):
         out = {
-            "h": format(self.h, ".17g"),
-            "T": format(self.T, ".17g"),
-            "epsilons": " ".join(format(e, ".17g") for e in self.epsilons),
+            "h": observation.format_float(self.h),
+            "T": observation.format_float(self.T),
+            "epsilons": " ".join(map(observation.format_float, self.epsilons)),
             "n_inits": str(self.n_inits),
             "n_noise": str(self.n_noise),
             "mse_mode": self.mse_mode,

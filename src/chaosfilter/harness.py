@@ -17,11 +17,7 @@ import numpy as np
 
 from . import filters
 from .dynamics import BlowUpError
-from .observation import ObservationSequence, outputs_on_success, substream
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+from .observation import ObservationSequence, format_float, outputs_on_success, substream
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def run_mse_experiment(config) -> MseReport:
         for g in per_trial:
             name, eps, est = groups[g]
             obs = ObservationSequence(eps=eps, h=h, ys=observed + eps * w)
-            rng = substream(seed, "filter", name, i, k, _fmt(eps))
+            rng = substream(seed, "filter", name, i, k, format_float(eps))
             try:
                 run = filters.particle_filter(model, est, obs, rng, truth=truths[i])
             except BlowUpError:
@@ -273,7 +269,7 @@ def write_report(report: MseReport, path):
             writer = csv.writer(fh)
             writer.writerow(["filter", "epsilon", "mse", "stderr", "n_trials", "excluded"])
             for r in report.rows:
-                writer.writerow([r.filter_name, _fmt(r.eps), _fmt(r.mse), _fmt(r.stderr),
+                writer.writerow([r.filter_name, *map(format_float, (r.eps, r.mse, r.stderr)),
                                  r.n_used, r.n_excluded])
         with open(meta_tmp, "w") as fh:
             fh.write(f"seed = {report.seed}\n")
@@ -281,7 +277,7 @@ def write_report(report: MseReport, path):
                 fh.write(f"{key} = {report.config_echo[key]}\n")
             for name in sorted(report.slopes):
                 slope, half = report.slopes[name]
-                fh.write(f"slope[{name}] = {_fmt(slope)} +- {_fmt(half)}\n")
+                fh.write(f"slope[{name}] = {format_float(slope)} +- {format_float(half)}\n")
 
 
 def read_report(path):
@@ -356,11 +352,6 @@ class SqueezeEntry:
     hist_edges: np.ndarray
 
 
-@dataclass
-class SqueezeProbeResult:
-    entries: list
-
-
 def empirical_squeezing(
     model,
     projection,
@@ -372,7 +363,7 @@ def empirical_squeezing(
     rng,
     substeps=None,
     batch=2048,
-) -> SqueezeProbeResult:
+) -> list:
     """Sample the one-step contraction ratio of the observation-corrected
     difference map over ball pairs.
 
@@ -382,6 +373,7 @@ def empirical_squeezing(
     from the estimator V-ball, and records
     ``V((I - D P)(Psi(v) - Psi(u))) / V(v - u)``. A maximum below one
     supports (but cannot prove) one-step contraction at this radius pair.
+    Returns one ``SqueezeEntry`` per pair, in order.
     """
     spectral = hasattr(model, "grid")
     dim = model.dim
@@ -414,22 +406,22 @@ def empirical_squeezing(
                 hist_edges=edges,
             )
         )
-    return SqueezeProbeResult(entries=entries)
+    return entries
 
 
-def write_squeeze_histogram(result: SqueezeProbeResult, path):
+def write_squeeze_histogram(entries, path):
     """CSV of (radius pair, ratio-bin, count) for every probed pair."""
     with outputs_on_success(path) as (tmp,), open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["radius_signal", "radius_estimator", "bin_low", "bin_high", "count"])
-        for e in result.entries:
+        for e in entries:
             for b in range(e.hist_counts.size):
                 writer.writerow(
                     [
-                        _fmt(e.radius_signal),
-                        _fmt(e.radius_estimator),
-                        _fmt(e.hist_edges[b]),
-                        _fmt(e.hist_edges[b + 1]),
+                        format_float(e.radius_signal),
+                        format_float(e.radius_estimator),
+                        format_float(e.hist_edges[b]),
+                        format_float(e.hist_edges[b + 1]),
                         int(e.hist_counts[b]),
                     ]
                 )

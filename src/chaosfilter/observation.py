@@ -294,10 +294,15 @@ def generate_truth_and_observations(
 # CSV interchange
 #
 # Lines end in ``\r\n``, as ``csv.writer`` ends them, and no field needs
-# quoting. ``%.17g`` writes the same digits as ``format(x, ".17g")``.
+# quoting. ``%.17g`` writes the same digits as ``format_float``.
 
 
-def _format(x):
+def format_float(x):
+    """``x`` with 17 significant digits, which read back to the same float.
+
+    Reports, sidecars and the particle filter's substream names write their
+    floats with it, so it fixes their bytes.
+    """
     return format(float(x), ".17g")
 
 
@@ -390,8 +395,8 @@ class ObservationWriter:
 def write_observation_meta(path, eps, h, n_steps, dim, is_complex, seed_label):
     """Write the ``.meta`` sidecar of an observation file."""
     meta = {
-        "eps": _format(eps),
-        "h": _format(h),
+        "eps": format_float(eps),
+        "h": format_float(h),
         "n_steps": str(n_steps),
         "dim": str(dim),
         "complex": "1" if is_complex else "0",

@@ -364,9 +364,9 @@ def test_criterion_9_empirical_squeezing(tmp_path):
         observation.substream(2025, "squeeze-l63"),
     )
     admissible = [
-        (s, e) for s, e in zip(scales, res.entries) if e.alpha_hat < 1.0
+        (s, e) for s, e in zip(scales, res) if e.alpha_hat < 1.0
     ]
-    nominal = res.entries[0]
+    nominal = res[0]
     hist_path = tmp_path / "squeeze_l63_hist.csv"
     harness.write_squeeze_histogram(res, hist_path)
     assert admissible, "no radius scale with a contraction certificate"
@@ -395,7 +395,7 @@ def test_criterion_9_empirical_squeezing(tmp_path):
             ns, Pl, gl, ns_vnorm, 0.01, [(r_ns, r_ns)], 1000,
             observation.substream(2025, "squeeze-ns-scan", str(lam)), substeps=2,
         )
-        if scan.entries[0].alpha_hat < 1.0:
+        if scan[0].alpha_hat < 1.0:
             threshold = lam
             break
     assert threshold is not None, "no cutoff with a contraction certificate"
@@ -406,7 +406,7 @@ def test_criterion_9_empirical_squeezing(tmp_path):
         ns, Pf, gf, ns_vnorm, 0.01, [(r_ns, r_ns)], 10_000,
         observation.substream(2025, "squeeze-ns"), substeps=2,
     )
-    e_ns = res_ns.entries[0]
+    e_ns = res_ns[0]
     _report(
         f"  spectral model: alpha_hat={e_ns.alpha_hat:.4f} < 1 at cutoff "
         f"{lam_final} (threshold from scan: {threshold}), full-ball sampling, 10^4 pairs"

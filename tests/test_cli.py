@@ -442,6 +442,9 @@ OUT_OF_RANGE = {
     "T-inf": ("mse-table", TINY, "T = 0.2", "T = inf", "t"),
     # each finite and positive, but T / h overflows
     "T-over-h-overflow": ("mse-table", TINY, "h = 0.01\nT = 0.2", "h = 1e-300\nT = 1e300", "t"),
+    # within the multiple-of-h tolerance, but T / h rounds to 0 steps
+    "T-zero-steps": ("mse-table", TINY, "T = 0.2", "T = 1e-12", "t"),
+    "T-zero-steps-simulate": ("simulate", TINY, "T = 0.2", "T = 1e-12", "t"),
     "h-inf": ("mse-table", TINY, "h = 0.01", "h = inf", "h"),
     "epsilons-nan": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = nan 0.1", "epsilons"),
     "epsilons-inf": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = inf 0.1", "epsilons"),

@@ -280,10 +280,13 @@ def lorenz96_rk4_by_roll(u, nsub, dt, forcing):
 )
 def test_lorenz96_kernel_matches_roll_reference_bitwise(d, n, nsub, scale, seed):
     u = scale * np.random.default_rng(seed).standard_normal((n, d))
+    before = u.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         got = _kernels.lorenz96_rk4(u, nsub, 0.01 / nsub, 8.0)
         want = lorenz96_rk4_by_roll(u, nsub, 0.01 / nsub, 8.0)
+    assert got.shape == (n, d) and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+    assert u.tobytes() == before.tobytes()
 
 
 def lorenz63_rk4_by_stack(u, nsub, dt, a, b, f3):

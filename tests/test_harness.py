@@ -238,7 +238,7 @@ def test_probe_contracts_at_small_radii():
     res = harness.empirical_squeezing(
         model, P, gain, vnorm, 0.01, [(0.05 * r, 0.05 * R)], 3000, rng
     )
-    assert res.entries[0].alpha_hat < 1.0
+    assert res[0].alpha_hat < 1.0
 
 
 def test_probe_detects_loss_of_contraction_at_large_h():
@@ -247,7 +247,7 @@ def test_probe_detects_loss_of_contraction_at_large_h():
     res = harness.empirical_squeezing(
         model, P, gain, vnorm, 2.0, [(0.05 * r, 0.05 * R)], 500, rng, substeps=2000
     )
-    assert res.entries[0].alpha_hat >= 1.0
+    assert res[0].alpha_hat >= 1.0
 
 
 def test_probe_linear_map_respects_analytic_factor():
@@ -260,7 +260,7 @@ def test_probe_linear_map_respects_analytic_factor():
     res = harness.empirical_squeezing(
         model, P, filters.Gain.zero(), vnorm, 1.0, [(1.0, 1.0)], 5000, rng
     )
-    assert res.entries[0].alpha_hat <= alpha + 1e-9
+    assert res[0].alpha_hat <= alpha + 1e-9
 
 
 def test_probe_histogram_accounts_everything():
@@ -269,7 +269,7 @@ def test_probe_histogram_accounts_everything():
     res = harness.empirical_squeezing(
         model, P, gain, vnorm, 0.01, [(0.1 * r, 0.1 * R)], 2000, rng
     )
-    e = res.entries[0]
+    e = res[0]
     assert e.hist_counts.sum() == 2000
     assert e.hist_edges[0] == 0.0
 

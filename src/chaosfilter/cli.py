@@ -209,6 +209,33 @@ def _cmd_mse_table(args):
     return 0
 
 
+def _print_detectability(L, P, budget):
+    """Print the rank test, the gain search and the contraction certificate
+    of (L, P); return the verdict and the search result."""
+    d = L.shape[0]
+    verdict = linear_theory.hautus_detectable(L, P)
+    print(f"signal map: {d}x{d}, spectral radius {linear_theory.spectral_radius(L):.6g}")
+    if verdict.detectable:
+        print("detectable: yes")
+    else:
+        w = verdict.witness
+        print("detectable: no")
+        print(f"witness eigenvalue: {w.real:.6g}{w.imag:+.6g}j (|lambda| = {abs(w):.6g})")
+    equiv = linear_theory.detectability_shift_equivalence(L, P)
+    print(f"shift equivalence (P vs PL): {'consistent' if equiv else 'INCONSISTENT'}")
+    result = linear_theory.find_gain(L, P, budget=budget)
+    print(f"best gain search: rho(L - D P) = {result.radius:.6g} "
+          f"({'success' if result.success else 'no stabilizing gain found'})")
+    if result.success:
+        rows = "; ".join(
+            " ".join(format(v, ".6g") for v in row) for row in result.gain
+        )
+        print(f"gain D = [{rows}]")
+        S, alpha = linear_theory.contractive_norm(L - result.gain @ P)
+        print(f"contraction factor alpha = {alpha:.6g} in the constructed norm")
+    return verdict, result
+
+
 def _cmd_detect(args):
     parser = cfgmod.read_config_file(args.config)
     linear = dict(parser.items("linear")) if parser.has_section("linear") else {}
@@ -231,26 +258,12 @@ def _cmd_detect(args):
     else:
         raise ConfigError("[linear] must define 'p' or 'observed'")
 
-    verdict = linear_theory.hautus_detectable(L, P)
-    print(f"signal map: {d}x{d}, spectral radius {linear_theory.spectral_radius(L):.6g}")
-    if verdict.detectable:
-        print("detectable: yes")
-    else:
-        w = verdict.witness
-        print("detectable: no")
-        print(f"witness eigenvalue: {w.real:.6g}{w.imag:+.6g}j (|lambda| = {abs(w):.6g})")
-    equiv = linear_theory.detectability_shift_equivalence(L, P)
-    print(f"shift equivalence (P vs PL): {'consistent' if equiv else 'INCONSISTENT'}")
-    result = linear_theory.find_gain(L, P, budget=sec["budget"])
-    print(f"best gain search: rho(L - D P) = {result.radius:.6g} "
-          f"({'success' if result.success else 'no stabilizing gain found'})")
-    if result.success:
-        rows = "; ".join(
-            " ".join(format(v, ".6g") for v in row) for row in result.gain
-        )
-        print(f"gain D = [{rows}]")
-        S, alpha = linear_theory.contractive_norm(L - result.gain @ P)
-        print(f"contraction factor alpha = {alpha:.6g} in the constructed norm")
+    try:
+        verdict, result = _print_detectability(L, P, sec["budget"])
+    except np.linalg.LinAlgError as exc:
+        # L is finite, but the gain search scales its random restarts by
+        # max |L_ij| and can leave float range
+        raise FilterNumericsError(f"[linear] L: the analysis left float range: {exc}") from exc
     if args.out:
         with observation.outputs_on_success(args.out) as (out_tmp,), open(out_tmp, "w") as fh:
             fh.write(f"detectable = {verdict.detectable}\n")

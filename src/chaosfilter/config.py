@@ -66,7 +66,9 @@ SCHEMA = {
             "period": (float, 2.0 * np.pi, *_POSITIVE),
             "forcing_mode": (_ints, (1, 0), lambda m: len(m) == 2 and any(m),
                              "need two integers n1 n2, not both 0"),
-            "forcing_amplitude": (float, 1.0, *_FINITE),
+            # 0 leaves the flow unforced: its absorbing ball has radius 0
+            "forcing_amplitude": (float, 1.0, lambda v: v != 0 and -np.inf < v < np.inf,
+                                  "must be nonzero and finite"),
             "init_amplitude": (float, 1.0, *_FINITE),
             "init_decay": (float, 2.0, *_FINITE),
         },

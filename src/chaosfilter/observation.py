@@ -148,12 +148,13 @@ class GaussianObservedNoise:
         w[:, self.projection.observed] = self.std * rng.standard_normal(n * m).reshape(n, m)
         return w[0] if size is None else w
 
-    def log_density(self, resid, eps):
-        """Log density of observed residuals at noise level eps; batch-aware.
+    def log_density(self, r, eps):
+        """Log density at noise level eps of residuals on the observed
+        coordinates: one row of the projection's ``observed`` entries, or a
+        batch of them.
 
         Residuals beyond float range saturate to -inf (a zero weight)."""
-        resid = np.atleast_2d(np.asarray(resid, dtype=float))
-        r = resid[:, self.projection.observed]
+        r = np.atleast_2d(np.asarray(r, dtype=float))
         s = eps * self.std
         with np.errstate(over="ignore"):
             out = -0.5 * np.sum((r / s) ** 2, axis=1) - r.shape[1] * np.log(
@@ -188,9 +189,11 @@ class SpectralModeNoise:
         w[:, p.observed] = half * (draws[:, 0] + 1j * draws[:, 1])
         return w[0] if size is None else w
 
-    def log_density(self, resid, eps):
-        resid = np.atleast_2d(np.asarray(resid, dtype=np.complex128))
-        r = resid[:, self.projection.observed]
+    def log_density(self, r, eps):
+        """Log density at noise level eps of residuals on the retained
+        modes: one row of the projection's ``observed`` entries, or a batch
+        of them."""
+        r = np.atleast_2d(np.asarray(r, dtype=np.complex128))
         var = (eps**2) * self.mode_var
         out = -np.sum(np.abs(r) ** 2 / var, axis=1) - np.sum(
             np.log(np.pi * var)

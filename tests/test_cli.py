@@ -414,6 +414,16 @@ OUT_OF_RANGE = {
     "forcing-mode-zero": (
         "mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nforcing_mode = 0 0", "forcing_mode"
     ),
+    # an unforced flow's absorbing ball has radius 0: no truncation ball,
+    # no squeeze certificate
+    "forcing-amplitude-zero": (
+        "mse-table", NS_EXPERIMENT, "k_max = 3", "k_max = 3\nforcing_amplitude = 0",
+        "forcing_amplitude",
+    ),
+    "forcing-amplitude-negative-zero": (
+        "squeeze-probe", NS_EXPERIMENT + "\n[squeeze]\nn_samples = 10\n", "k_max = 3",
+        "k_max = 3\nforcing_amplitude = -0", "forcing_amplitude",
+    ),
     "lorenz96-dimension-2": (
         "mse-table", TINY, "kind = lorenz63", "kind = lorenz96\ndimension = 2", "dimension"
     ),
@@ -481,6 +491,19 @@ def test_out_of_range_config_values_exit_one(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("chaosfilter: config error:"), err
     assert f"{key}: " in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_detect_on_an_L_near_float_max_is_a_numerical_failure(tmp_path, capsys):
+    # every entry is finite, but the gain search scales its random restarts
+    # by max |L_ij| = 1e308, and they overflow
+    out = str(tmp_path / "d.txt")
+    cfg = write(tmp_path, DETECT.format(L="1e308 0; 0 1", extra="observed = 0"))
+    assert cli.main(["detect", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chaosfilter: numerical failure: [linear] L: "), err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 # case -> (subcommand, config template, what the message names)

@@ -335,6 +335,67 @@ def test_lorenz63_kernel_matches_stack_reference_bitwise(n, nsub, scale, seed, h
     assert not (huge_row and np.isfinite(got[n // 2]).all())
 
 
+def kernel_and_reference(kernel, u, nsub):
+    """``(result, reference result)`` of one Lorenz kernel call on ``u``."""
+    dt = 0.01 / nsub
+    if kernel == "l63":
+        a, b = 10.0, 8.0 / 3.0
+        f3 = -b * (28.0 + a)
+        return (_kernels.lorenz63_rk4(u, nsub, dt, a, b, f3),
+                lorenz63_rk4_by_stack(u, nsub, dt, a, b, f3))
+    return _kernels.lorenz96_rk4(u, nsub, dt, 8.0), lorenz96_rk4_by_roll(u, nsub, dt, 8.0)
+
+
+def workspace_buffers():
+    return [buf for bufs in _kernels._workspaces.values() for buf in bufs]
+
+
+# ((kernel, sites), rows, dtype) of one call
+KERNEL_CALLS = st.tuples(
+    st.sampled_from([("l63", 3), ("l96", 6), ("l96", 60)]),
+    st.sampled_from([1, 2, 8, 28, 4999, 5000]),
+    st.sampled_from([np.float64, np.complex128]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=st.lists(KERNEL_CALLS, min_size=2, max_size=6), nsub=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(calls=[(("l63", 3), 1, np.float64)] * 2, nsub=1, seed=0)
+@example(calls=[(("l96", 60), 1, np.float64)] * 2, nsub=1, seed=0)
+def test_kernel_workspaces_never_reach_a_result(calls, nsub, seed):
+    # the kernels reuse one aligned workspace per (kernel, rows, sites,
+    # dtype); each result must still be a new array of its own that later
+    # calls leave alone, at one row too, where the transposed (d, 1)
+    # workspace is itself C-contiguous
+    rng = np.random.default_rng(seed)
+    results = []
+    for (kernel, d), n, dtype in calls:
+        u = 10.0 * rng.standard_normal((n, d)).astype(dtype)
+        if dtype is np.complex128:
+            u += 1j * rng.standard_normal((n, d))
+        before = u.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = kernel_and_reference(kernel, u, nsub)
+        assert got.shape == (n, d) and got.dtype == dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == before
+        assert got.flags.owndata
+        assert not any(np.shares_memory(got, buf) for buf in workspace_buffers())
+        if results:
+            assert not np.shares_memory(results[-1][0], got)
+        results.append((got, want.tobytes()))
+    # many distinct row counts, as a run whose live rows keep dropping out
+    for n in range(1, 3 * _kernels.WORKSPACE_LIMIT):
+        kernel_and_reference("l63", np.ones((n, 3)), 1)
+        kernel_and_reference("l96", np.ones((n, 6)), 1)
+        assert len(_kernels._workspaces) <= _kernels.WORKSPACE_LIMIT
+    for got, want in results:
+        assert got.tobytes() == want
+    for buf in workspace_buffers():
+        assert buf.ctypes.data % _kernels.ALIGN == 0
+
+
 # ---------------------------------------------------------------------------
 # dissipation
 

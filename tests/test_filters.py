@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosfilter import dynamics, filters, observation
@@ -490,6 +490,80 @@ def test_systematic_resample_preserves_distribution():
     counts = np.bincount(idx, minlength=1000) / 1000.0
     # systematic resampling keeps counts within 1/N of expectation
     assert np.abs(counts - w).max() <= 1.0 / 1000.0 + 1e-12
+
+
+def particle_setups():
+    """(projection, noise, complex states) of the particle filter's three
+    state kinds: convection with x observed, the 60-site model with every
+    third site unobserved, and the spectral flow at k_max 3."""
+    l63 = observation.coordinate_projection(3, [0])
+    l96 = observation.every_third_unobserved(60)
+    ns = observation.fourier_cutoff(SpectralGrid(3), 2.0)
+    return {
+        "l63": (l63, observation.GaussianObservedNoise(l63), False),
+        "l96-60": (l96, observation.GaussianObservedNoise(l96), False),
+        "spectral-k3": (ns, observation.SpectralModeNoise(ns), True),
+    }
+
+
+PARTICLE_SETUPS = particle_setups()
+
+
+def log_density_of_full_residuals(noise, resid, eps):
+    """A noise class's log density of full-state residuals, masked inside:
+    the reference of ``log_density`` on the observed entries."""
+    r = resid[:, noise.projection.observed]
+    if np.iscomplexobj(resid):
+        var = (eps**2) * noise.mode_var
+        return -np.sum(np.abs(r) ** 2 / var, axis=1) - np.sum(np.log(np.pi * var))
+    s = eps * noise.std
+    return -0.5 * np.sum((r / s) ** 2, axis=1) - r.shape[1] * np.log(s * np.sqrt(2.0 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    setup=st.sampled_from(sorted(PARTICLE_SETUPS)),
+    n=st.integers(1, 64),
+    scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3, 1e160]),
+    log_spread=st.sampled_from([0.0, 1.0, 50.0, 700.0]),
+    huge_row=st.booleans(),
+    eps=st.sampled_from([1e-3, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(setup="l63", n=5000, scale=10.0, log_spread=50.0, huge_row=True, eps=0.1, seed=0)
+def test_particle_step_pieces_match_their_full_state_forms(
+    setup, n, scale, log_spread, huge_row, eps, seed
+):
+    # ParticleFilter.steps forms its likelihood residual on the observed
+    # entries only, squares real deviations in place and draws its jitter
+    # into a reused buffer; each must keep the bits of the full-state form
+    projection, noise, spectral = PARTICLE_SETUPS[setup]
+    rng = np.random.default_rng(seed)
+    shape = (n, projection.dim)
+    particles = scale * rng.standard_normal(shape)
+    y = projection.apply(rng.standard_normal(projection.dim))
+    if spectral:
+        particles = particles + 1j * scale * rng.standard_normal(shape)
+        y = projection.apply(y + 1j * rng.standard_normal(projection.dim))
+    if huge_row:
+        particles[n // 2] *= 1e200 / scale  # its squares overflow to inf
+    logw = log_spread * rng.standard_normal(n)
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    mean = w @ particles
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.sum(np.abs(particles - mean) ** 2, axis=1)
+        got = filters.squared_deviations(particles, mean)
+        assert got.tobytes() == want.tobytes()
+        obs = projection.observed
+        got = noise.log_density(y[obs] - particles[:, obs], eps)
+        want = log_density_of_full_residuals(noise, y - projection.apply(particles), eps)
+        assert got.tobytes() == want.tobytes()
+
+    draws = np.empty(shape)
+    np.random.default_rng(seed).standard_normal(out=draws)
+    assert draws.tobytes() == np.random.default_rng(seed).standard_normal(shape).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ import numpy as np
 from . import config as cfgmod
 from . import filters, harness, linear_theory, observation
 from .config import ConfigError
-from .dynamics import BlowUpError
+from .dynamics import BlowUpError, absorbing_radius
 from .filters import FilterNumericsError
 
 
@@ -177,7 +177,7 @@ def _cmd_filter(args):
             rng = observation.substream(cfg.seed, "filter-cli")
             with open(out_tmp, "w", newline="") as fh:
                 final = filters.write_filter_steps(
-                    model, estimator.steps(model, obs, rng), fh, truth
+                    model.error_norm, estimator.steps(model, obs, rng), fh, truth
                 )
         finally:
             # every truth line is checked, and a bad truth file is reported
@@ -209,31 +209,30 @@ def _cmd_mse_table(args):
     return 0
 
 
-def _print_detectability(L, P, budget):
-    """Print the rank test, the gain search and the contraction certificate
-    of (L, P); return the verdict and the search result."""
+def _detectability_lines(L, P, budget):
+    """The lines of the rank test, the gain search and the contraction
+    certificate of (L, P), computed before any is printed; the verdict and
+    the search result."""
     d = L.shape[0]
     verdict = linear_theory.hautus_detectable(L, P)
-    print(f"signal map: {d}x{d}, spectral radius {linear_theory.spectral_radius(L):.6g}")
+    lines = [f"signal map: {d}x{d}, spectral radius {linear_theory.spectral_radius(L):.6g}"]
     if verdict.detectable:
-        print("detectable: yes")
+        lines.append("detectable: yes")
     else:
         w = verdict.witness
-        print("detectable: no")
-        print(f"witness eigenvalue: {w.real:.6g}{w.imag:+.6g}j (|lambda| = {abs(w):.6g})")
+        lines.append("detectable: no")
+        lines.append(f"witness eigenvalue: {w.real:.6g}{w.imag:+.6g}j (|lambda| = {abs(w):.6g})")
     equiv = linear_theory.detectability_shift_equivalence(L, P)
-    print(f"shift equivalence (P vs PL): {'consistent' if equiv else 'INCONSISTENT'}")
+    lines.append(f"shift equivalence (P vs PL): {'consistent' if equiv else 'INCONSISTENT'}")
     result = linear_theory.find_gain(L, P, budget=budget)
-    print(f"best gain search: rho(L - D P) = {result.radius:.6g} "
-          f"({'success' if result.success else 'no stabilizing gain found'})")
+    lines.append(f"best gain search: rho(L - D P) = {result.radius:.6g} "
+                 f"({'success' if result.success else 'no stabilizing gain found'})")
     if result.success:
-        rows = "; ".join(
-            " ".join(format(v, ".6g") for v in row) for row in result.gain
-        )
-        print(f"gain D = [{rows}]")
-        S, alpha = linear_theory.contractive_norm(L - result.gain @ P)
-        print(f"contraction factor alpha = {alpha:.6g} in the constructed norm")
-    return verdict, result
+        rows = "; ".join(" ".join(format(v, ".6g") for v in row) for row in result.gain)
+        lines.append(f"gain D = [{rows}]")
+        _, alpha = linear_theory.contractive_norm(L - result.gain @ P)
+        lines.append(f"contraction factor alpha = {alpha:.6g} in the constructed norm")
+    return lines, verdict, result
 
 
 def _cmd_detect(args):
@@ -259,11 +258,12 @@ def _cmd_detect(args):
         raise ConfigError("[linear] must define 'p' or 'observed'")
 
     try:
-        verdict, result = _print_detectability(L, P, sec["budget"])
-    except np.linalg.LinAlgError as exc:
-        # L is finite, but the gain search scales its random restarts by
-        # max |L_ij| and can leave float range
+        lines, verdict, result = _detectability_lines(L, P, sec["budget"])
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        # L is finite, but the analysis can leave float range: the gain
+        # search scales its random restarts by max |L_ij|
         raise FilterNumericsError(f"[linear] L: the analysis left float range: {exc}") from exc
+    print("\n".join(lines))
     if args.out:
         with observation.outputs_on_success(args.out) as (out_tmp,), open(out_tmp, "w") as fh:
             fh.write(f"detectable = {verdict.detectable}\n")
@@ -282,8 +282,6 @@ def _cmd_squeeze_probe(args):
     projection = cfgmod.build_projection(obs_spec, model)
     vnorm = cfgmod.default_vnorm(model, projection)
     gain = filters.Gain.identity_on_observed(projection)
-    from .dynamics import absorbing_radius
-
     r = absorbing_radius(model)
     R = filters.default_ball_radius(model, vnorm)
     r_pairs = [(s * r, s * R) for s in sec["scales"]]
@@ -308,7 +306,7 @@ def _cmd_squeeze_probe(args):
 def _cmd_ns_demo(args):
     cfg = cfgmod.load_experiment_config(args.config, seed_override=args.seed)
     model = cfgmod.build_model(cfg.model)
-    if not hasattr(model, "grid"):
+    if cfgmod.typed("model", cfg.model)["kind"] != "navier-stokes":
         raise ConfigError("ns-demo expects a navier-stokes model")
     projection = cfgmod.build_projection(cfg.observation, model)
     noise = cfgmod.build_noise(cfg.noise, projection)

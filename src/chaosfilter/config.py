@@ -239,18 +239,23 @@ def build_model(spec):
     if kind == "lorenz96":
         return dynamics.lorenz96(m["dimension"], substeps=substeps or 10)
     k_max, mode = m["k_max"], m["forcing_mode"]
+    need = spectral.model_bytes(k_max)
+    if need > spectral.MEMORY_BUDGET:
+        raise ConfigError(f"[model] k_max: the grid and FFT block of k_max = {k_max} need "
+                          f"{need >> 20} MiB, over the {spectral.MEMORY_BUDGET >> 20} MiB budget")
     if max(map(abs, mode)) > k_max:
         raise ConfigError(f"[model] forcing_mode: need |n1|, |n2| <= k_max = {k_max}, got {mode}")
     return spectral.navier_stokes_spectral(
         m["viscosity"], {tuple(mode): complex(m["forcing_amplitude"])}, k_max,
         period=m["period"], substeps=substeps or 5,
+        init_amplitude=m["init_amplitude"], init_decay=m["init_decay"],
     )
 
 
 def build_projection(spec, model):
     o = typed("observation", spec)
     kind = o["kind"]
-    if kind == "fourier-cutoff" and not hasattr(model, "grid"):
+    if kind == "fourier-cutoff" and model.dtype != complex:  # real states have no modes
         raise ConfigError("fourier-cutoff applies to spectral models only")
     try:
         if kind == "coordinate-mask":
@@ -276,16 +281,12 @@ def build_noise(spec, projection):
 
 
 def build_init_sampler(model_spec, model):
-    if hasattr(model, "grid"):
-        m = typed("model", model_spec)
-        return observation.spectral_smooth_init(model.grid, m["init_amplitude"], m["init_decay"])
-    return observation.standard_normal_init(model.dim)
+    # build_model read the sampler's keys from model_spec into the model
+    return model.init_sampler()
 
 
 def default_vnorm(model, projection):
-    if hasattr(model, "grid"):
-        return filters.VNorm.h1(model.grid)
-    return filters.VNorm.euclidean_plus_observed(projection)
+    return model.truncation_vnorm(projection)
 
 
 def noise_gamma(noise, projection):
@@ -319,7 +320,7 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
         if kind == "truncated-observer":
             vnorm = default_vnorm(model, projection)
             radius = filters.default_ball_radius(model, vnorm) * f["radius_scale"]
-        z0 = np.zeros(model.dim, dtype=complex if hasattr(model, "grid") else float)
+        z0 = np.zeros(model.dim, dtype=model.dtype)
         return filters.FixedGainObserver(projection, gain, z0, vnorm=vnorm, radius=radius)
 
     if kind == "3dvar":

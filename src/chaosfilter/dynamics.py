@@ -11,6 +11,8 @@ fixed-substep classical RK4, run by each model's batched kernel in
 import numpy as np
 
 from . import _kernels
+from .filters import VNorm
+from .observation import standard_normal_init
 
 
 class BlowUpError(RuntimeError):
@@ -41,7 +43,25 @@ def _as_batch(u):
     return u[None, :] if u.ndim == 1 else u
 
 
-class DissipativeModel:
+class RealStateModel:
+    """What a model on real states of ``dim`` entries says about them: its
+    errors are Euclidean, its default initial state is N(0, I), and its
+    truncation ball is one of |u|^2 + |P u|^2 for the observation P."""
+
+    dtype = np.dtype(float)
+
+    @property
+    def error_norm(self) -> VNorm:
+        return VNorm(np.ones(self.dim))
+
+    def init_sampler(self):
+        return standard_normal_init(self.dim)
+
+    def truncation_vnorm(self, projection) -> VNorm:
+        return VNorm.euclidean_plus_observed(projection)
+
+
+class DissipativeModel(RealStateModel):
     """Quadratic ODE ``dv/dt + A v + B(v,v) = f`` whose RK4 solution map is
     a batched kernel; ``A``, ``f`` and ``B`` describe the field it integrates.
 

@@ -8,7 +8,7 @@ a :class:`FilterRun` and :func:`write_filter_steps` writes it as it comes.
 
 The fixed-gain observer follows ``z' = (I - D P) Psi(z) + D y``. Truncation
 composes that update with the metric projection onto a ball in a chosen
-quadratic norm, which bounds the estimator against noise outliers without
+diagonal norm, which bounds the estimator against noise outliers without
 touching its behaviour in the ordinary regime.
 """
 
@@ -25,57 +25,34 @@ class FilterNumericsError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# quadratic norms
+# diagonal norms
 
 
 class VNorm:
-    """Quadratic form V with V(x)^(1/2) a Hilbert norm.
+    """Diagonal quadratic form V(x) = sum_i w_i |x_i|^2, a squared Hilbert
+    norm on real or complex states of ``dtype``: unit weights, |u|^2 + |P u|^2
+    (``euclidean_plus_observed``) or the Sobolev norm (``h1``)."""
 
-    Kinds:
-      * ``euclidean-plus-observed`` -- V(u) = |P u|^2 + |u|^2,
-      * ``h1`` -- squared Sobolev norm on spectral coefficients,
-      * ``quadratic`` -- V(x) = x^T S x for a symmetric positive definite S.
-    """
-
-    def __init__(self, kind, weights=None, matrix=None, theta=1.0):
-        self.kind = kind
-        self.weights = weights
-        self.matrix = matrix
-        self.theta = float(theta)
+    def __init__(self, weights, dtype=float):
+        self.weights = np.asarray(weights, dtype=float)
+        self.dtype = np.dtype(dtype)
 
     @classmethod
     def euclidean_plus_observed(cls, projection):
         w = np.ones(projection.dim)
         w[projection.observed] = 2.0
-        return cls("euclidean-plus-observed", weights=w, theta=1.0)
+        return cls(w)
 
     @classmethod
     def h1(cls, grid):
-        # complex representative coefficients count twice (the +/-k pair)
-        return cls("h1", weights=2.0 * grid.k2_reps, theta=1.0)
+        # sum_k |k|^2 |v_k|^2 over the full lattice: a complex
+        # representative coefficient counts twice (the +/-k pair)
+        return cls(2.0 * grid.k2_reps, complex)
 
-    @classmethod
-    def quadratic(cls, S):
-        S = np.asarray(S, dtype=float)
-        S = 0.5 * (S + S.T)
-        theta = float(np.linalg.eigvalsh(S)[0])
-        if theta <= 0:
-            raise ValueError("quadratic form must be positive definite")
-        return cls("quadratic", matrix=S, theta=theta)
-
-    def value(self, x):
-        if self.matrix is not None:
-            return float(np.real(x @ self.matrix @ x))
-        return float(np.sum(self.weights * np.abs(x) ** 2))
-
-    def row_values(self, X):
-        """V of each row of a (n, dim) batch, bit for bit ``value`` of that row."""
-        if self.matrix is not None:
-            return np.array([self.value(x) for x in X])
-        return np.sum(self.weights * np.abs(X) ** 2, axis=1)
-
-    def norm(self, x):
-        return float(np.sqrt(self.value(x)))
+    def row_values(self, x):
+        """V of a state, or of each row of a (n, dim) batch. A row reduces
+        on its own, so a state's value is bit for bit its row's."""
+        return np.sum(self.weights * np.abs(x) ** 2, axis=-1)
 
 
 def project_ball_V(vnorm: VNorm, radius, x):
@@ -207,16 +184,15 @@ def truncated_observer_step(model, projection, gain, vnorm, radius, m, y_next, h
     return _step_one(observer, model, m, y_next, h)
 
 
-def default_ball_radius(model, vnorm=None) -> float:
-    """Default truncation radius: sqrt(2) * r for the finite-dimensional
-    models (r the dissipation ball radius), the dissipation ball itself for
-    spectral models (their ambient norm is already the V norm)."""
+def default_ball_radius(model, vnorm) -> float:
+    """Default truncation radius: that of the smallest ``vnorm`` ball
+    holding the absorbing ball (radius r in the model's error norm),
+    r sqrt(max w_V / w_err). That is sqrt(2) r for |u|^2 + |P u|^2 over the
+    Euclidean norm, and r for the spectral flow, whose two norms agree."""
     from .dynamics import absorbing_radius
 
-    r = absorbing_radius(model)
-    if vnorm is not None and vnorm.kind == "h1":
-        return r
-    return float(np.sqrt(2.0) * r)
+    ratio = np.max(vnorm.weights / model.error_norm.weights)
+    return float(absorbing_radius(model) * np.sqrt(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +221,24 @@ class FilterRun:
     degenerate_at: Optional[int] = None
 
 
-def squared_norms(model, x):
-    """Squared norm of a state, or of each row of a (n, dim) batch: the
-    Sobolev norm for spectral models, the Euclidean one otherwise. A row
-    reduces on its own, so a state's norm is bit for bit its row's."""
-    if hasattr(model, "grid"):
-        return model.grid.h1_norm2(x)
-    x = np.asarray(x)
-    return np.real(np.sum(x * np.conj(x), axis=-1))
-
-
-def scored_steps(model, steps, truth=None):
+def scored_steps(norm: VNorm, steps, truth=None):
     """``(step, squared error)`` for each of an estimator's ``steps``, the
-    error against the matching state of ``truth`` (any iterable of states),
-    or None without a truth."""
+    error in ``norm`` against the matching state of ``truth`` (any iterable
+    of states), or None without a truth."""
     if truth is None:
         for step in steps:
             yield step, None
         return
     for step, state in zip(steps, truth):
-        yield step, squared_norms(model, state - step.estimate)
+        yield step, norm.row_values(state - step.estimate)
 
 
-def collect_run(model, kind, steps, n_steps, truth=None) -> FilterRun:
+def collect_run(norm: VNorm, kind, steps, n_steps, truth=None) -> FilterRun:
     """The :class:`FilterRun` of an estimator's ``steps`` j = 0..n_steps,
-    each stored into its row of preallocated arrays as it comes."""
+    each stored into its row of preallocated arrays as it comes, with its
+    squared error in ``norm`` when ``truth`` is given."""
     run = None
-    for j, (step, sq_error) in enumerate(scored_steps(model, steps, truth)):
+    for j, (step, sq_error) in enumerate(scored_steps(norm, steps, truth)):
         if run is None:
             shape, dtype = (n_steps + 1,) + step.estimate.shape, step.estimate.dtype
             run = FilterRun(kind=kind, estimates=np.empty(shape, dtype=dtype))
@@ -300,7 +267,7 @@ def collect_run(model, kind, steps, n_steps, truth=None) -> FilterRun:
 def run_observer(model, observer: FixedGainObserver, observations, truth=None) -> FilterRun:
     """Drive a fixed-gain observer through an observation sequence."""
     steps = observer.steps(model, observations)
-    return collect_run(model, observer.kind, steps, observations.n_steps, truth)
+    return collect_run(model.error_norm, observer.kind, steps, observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +344,7 @@ def run_kalman(L, projection, gamma, eps, mean0, cov0, observations, truth=None)
             mean, cov = kalman_filter_step(L, projection, gamma, eps, mean, cov, y)
             yield FilterStep(mean, post_trace=np.trace(cov))
 
-    # no model: squared_norms of a model without a grid is Euclidean
-    return collect_run(None, "kalman", steps(), observations.n_steps, truth)
+    return collect_run(VNorm(np.ones(len(L))), "kalman", steps(), observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +461,7 @@ class ParticleFilter:
 def particle_filter(model, pf: ParticleFilter, observations, rng, truth=None) -> FilterRun:
     """Drive a particle filter through an observation sequence."""
     steps = pf.steps(model, observations, rng)
-    return collect_run(model, pf.kind, steps, observations.n_steps, truth)
+    return collect_run(model.error_norm, pf.kind, steps, observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +473,13 @@ def export_filter_run(run: FilterRun, path):
     write_table(path, "m", run.estimates, [("sq_error", run.sq_errors), ("ess", run.ess)])
 
 
-def write_filter_steps(model, steps, fh, truth=None):
+def write_filter_steps(norm: VNorm, steps, fh, truth=None):
     """Write each of an estimator's ``steps`` to the open file ``fh`` as it
     is computed, in the rows :func:`export_filter_run` writes, with its
-    squared error against ``truth`` (any iterable of states) when given.
-    Returns the last squared error, or None without a truth."""
+    squared error in ``norm`` against ``truth`` (any iterable of states)
+    when given. Returns the last squared error, or None without a truth."""
     table = sq_error = None
-    for j, (step, sq_error) in enumerate(scored_steps(model, steps, truth)):
+    for j, (step, sq_error) in enumerate(scored_steps(norm, steps, truth)):
         extra = {"sq_error": sq_error, "ess": step.ess}
         extra = {name: value for name, value in extra.items() if value is not None}
         if table is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filters
-from .dynamics import BlowUpError
+from .dynamics import BlowUpError, RealStateModel
 from .observation import ObservationSequence, format_float, outputs_on_success, substream
 
 
@@ -192,14 +192,13 @@ def run_mse_experiment(config) -> MseReport:
         # row-major, so that each row's mean sums in the order np.mean of
         # that row alone does
         tail = np.zeros((len(groups), n_trials, n_steps + 1 - tail_start))
+    norm = model.error_norm
     steps = _row_steps(config, model, projection, noise, groups, starts)
     for j, (alive, truth, row_group, row_trial, rows) in enumerate(steps):
         if truths is not None:
             truths[alive, j] = truth
         if row_group.size and (j == n_steps or (averaged and j >= tail_start)):
-            sq = filters.squared_norms(
-                model, truth[np.searchsorted(alive, row_trial // n_noise)] - rows
-            )
+            sq = norm.row_values(truth[np.searchsorted(alive, row_trial // n_noise)] - rows)
             if averaged:
                 tail[row_group, row_trial, j - tail_start] = sq
             else:
@@ -300,7 +299,7 @@ def read_report(path):
 # squeezing probe
 
 
-class DiscreteMapModel:
+class DiscreteMapModel(RealStateModel):
     """Wraps a matrix as a one-step signal map, for probing linear maps."""
 
     def __init__(self, M, name="linear-map"):
@@ -316,30 +315,19 @@ class DiscreteMapModel:
         return np.array([self.M @ row for row in states]).reshape(np.shape(states))
 
 
-def sample_euclidean_ball(rng, dim, radius, size=None):
-    """Uniform draws from the Euclidean ball of the given radius."""
-    n = 1 if size is None else size
-    x = rng.standard_normal((n, dim))
+def sample_v_ball(rng, vnorm, radius, size):
+    """``size`` uniform draws from {V(x)^(1/2) <= radius} for a diagonal V:
+    uniform draws from a Euclidean ball, in a real and an imaginary
+    coordinate per entry for complex states, divided by sqrt(w) entry by
+    entry."""
+    dim = vnorm.weights.size
+    k = 2 * dim if vnorm.dtype == complex else dim
+    x = rng.standard_normal((size, k))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    x *= radius * rng.uniform(size=(n, 1)) ** (1.0 / dim)
-    return x[0] if size is None else x
-
-
-def sample_v_ball(rng, vnorm, radius, dim, size=None):
-    """Uniform draws from {V(x)^(1/2) <= radius} for a diagonal or quadratic V."""
-    n = 1 if size is None else size
-    if vnorm.kind == "h1":
-        xi = sample_euclidean_ball(rng, 2 * dim, radius, size=n)
-        scale = np.sqrt(vnorm.weights)
-        out = (xi[:, :dim] + 1j * xi[:, dim:]) / scale
-    elif vnorm.matrix is not None:
-        lam, Q = np.linalg.eigh(vnorm.matrix)
-        xi = sample_euclidean_ball(rng, dim, radius, size=n)
-        out = (xi / np.sqrt(lam)) @ Q.T
-    else:
-        xi = sample_euclidean_ball(rng, dim, radius, size=n)
-        out = xi / np.sqrt(vnorm.weights)
-    return out[0] if size is None else out
+    x *= radius * rng.uniform(size=(size, 1)) ** (1.0 / k)
+    if k > dim:
+        x = x[:, :dim] + 1j * x[:, dim:]
+    return x / np.sqrt(vnorm.weights)
 
 
 @dataclass
@@ -368,26 +356,20 @@ def empirical_squeezing(
     difference map over ball pairs.
 
     For each radius pair ``(r_signal, r_estimator)`` the probe draws the
-    first point uniformly from the signal ball (Euclidean for
-    finite-dimensional models, the V-ball for spectral ones), the second
-    from the estimator V-ball, and records
+    first point uniformly from the signal ball (the ball of the model's
+    error norm), the second from the estimator V-ball, and records
     ``V((I - D P)(Psi(v) - Psi(u))) / V(v - u)``. A maximum below one
     supports (but cannot prove) one-step contraction at this radius pair.
     Returns one ``SqueezeEntry`` per pair, in order.
     """
-    spectral = hasattr(model, "grid")
-    dim = model.dim
     entries = []
     for r_sig, r_est in r_pairs:
         ratios = np.empty(n_samples)
         done = 0
         while done < n_samples:
             m = min(batch, n_samples - done)
-            if spectral:
-                v = sample_v_ball(rng, vnorm, r_sig, dim, size=m)
-            else:
-                v = sample_euclidean_ball(rng, dim, r_sig, size=m)
-            u = sample_v_ball(rng, vnorm, r_est, dim, size=m)
+            v = sample_v_ball(rng, model.error_norm, r_sig, size=m)
+            u = sample_v_ball(rng, vnorm, r_est, size=m)
             fv = model.step_batch(v, h, substeps=substeps)
             fu = model.step_batch(u, h, substeps=substeps)
             delta = fv - fu

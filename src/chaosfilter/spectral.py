@@ -14,11 +14,23 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import check_finite
+from .filters import VNorm
+from .observation import spectral_smooth_init
 
 TWO_PI = 2.0 * np.pi
 #: grid points per block of rows that step_batch integrates at once, which
-#: bounds the advection term's FFT temporaries to about 13 MB
+#: bounds the advection term's FFT temporaries to about 18 MB
 BLOCK_POINTS = 2**17
+#: bytes the grid tables and one FFT block of a truncation may take; a
+#: k_max whose ``model_bytes`` exceed it is refused before anything is built
+MEMORY_BUDGET = 2**30
+
+
+def model_bytes(k_max):
+    """Memory of a k_max truncation, as measured: about 600 bytes for each
+    of the 2 k_max (k_max + 1) representative modes, and 160 for each point
+    of an FFT block of max(BLOCK_POINTS, M^2) points, M about 3 k_max + 1."""
+    return 1200 * k_max * (k_max + 1) + 160 * max(BLOCK_POINTS, (3 * k_max + 1) ** 2)
 
 
 class SpectralGrid:
@@ -70,11 +82,6 @@ class SpectralGrid:
     def index_of(self, n):
         return self._lookup[tuple(int(v) for v in n)]
 
-    def h1_norm2(self, reps_coeffs):
-        """Squared Sobolev norm sum_k |k|^2 |v_k|^2 over the full lattice,
-        of a state or of each row of a (n, n_reps) batch."""
-        return 2.0 * np.sum(self.k2_reps * np.abs(reps_coeffs) ** 2, axis=-1)
-
     def velocity_coeffs(self, reps_coeffs):
         """Full-lattice vector coefficients v_k = v'_k k_perp/|k|, shape (n_full, 2)."""
         full = self.expand(reps_coeffs)
@@ -90,9 +97,13 @@ class SpectralGrid:
 
 
 class SpectralNSModel:
-    """Viscous incompressible flow truncated to ``0 < |n|_inf <= k_max``."""
+    """Viscous incompressible flow truncated to ``0 < |n|_inf <= k_max``;
+    its complex states are measured and truncated in the Sobolev norm."""
 
-    def __init__(self, nu, forcing_reps, grid: SpectralGrid, substeps=5):
+    dtype = np.dtype(complex)
+
+    def __init__(self, nu, forcing_reps, grid: SpectralGrid, substeps=5,
+                 init_amplitude=1.0, init_decay=2.0):
         self.name = f"navier-stokes-k{grid.k_max}"
         self.grid = grid
         self.nu = float(nu)
@@ -101,10 +112,19 @@ class SpectralNSModel:
             raise ValueError("forcing must be a representative coefficient array")
         self.dim = grid.n_reps
         self.substeps = int(substeps)
+        self.init_amplitude, self.init_decay = float(init_amplitude), float(init_decay)
+        self.error_norm = VNorm.h1(grid)
         # slowest dissipation rate in the truncated space
         self.theta = self.nu * grid.scale**2
-        fnorm = np.sqrt(grid.h1_norm2(self.forcing))
+        fnorm = np.sqrt(self.error_norm.row_values(self.forcing))
         self.r0 = (fnorm / self.theta) ** 2
+
+    def init_sampler(self):
+        return spectral_smooth_init(self.grid, self.init_amplitude, self.init_decay)
+
+    def truncation_vnorm(self, projection) -> VNorm:
+        """The error norm: its ball is bounded in every mode, observed or not."""
+        return self.error_norm
 
     # -- algebra ----------------------------------------------------------------
 
@@ -172,7 +192,8 @@ class SpectralNSModel:
         return f"SpectralNSModel(k_max={self.grid.k_max}, nu={self.nu})"
 
 
-def navier_stokes_spectral(nu, forcing, k_max, period=TWO_PI, substeps=5) -> SpectralNSModel:
+def navier_stokes_spectral(nu, forcing, k_max, period=TWO_PI, substeps=5,
+                           init_amplitude=1.0, init_decay=2.0) -> SpectralNSModel:
     """Build the truncated spectral model forced by the scalar dict
     ``forcing`` = ``{(n1, n2): coeff}``.
 
@@ -188,4 +209,4 @@ def navier_stokes_spectral(nu, forcing, k_max, period=TWO_PI, substeps=5) -> Spe
             reps[idx] = complex(val)
         else:
             reps[idx - grid.n_reps] = -np.conj(complex(val))
-    return SpectralNSModel(nu, reps, grid, substeps=substeps)
+    return SpectralNSModel(nu, reps, grid, substeps, init_amplitude, init_decay)

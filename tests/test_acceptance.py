@@ -189,13 +189,9 @@ def test_criterion_5_projection_contraction():
             )
         else:
             x = 3.0 * radius * rng.standard_normal((n, dim))
-        b = harness.sample_v_ball(rng, vnorm, radius, dim, size=n)
-        if vnorm.matrix is not None:
-            vals = lambda z: np.einsum("ij,jk,ik->i", z, vnorm.matrix, z).real
-            norms = np.sqrt(vals(x))
-        else:
-            vals = lambda z: np.sum(vnorm.weights * np.abs(z) ** 2, axis=1).real
-            norms = np.sqrt(vals(x))
+        b = harness.sample_v_ball(rng, vnorm, radius, size=n)
+        vals = lambda z: np.sum(vnorm.weights * np.abs(z) ** 2, axis=1).real
+        norms = np.sqrt(vals(x))
         scale = np.where(norms > radius, radius / norms, 1.0)
         px = x * scale[:, None]
         gap = vals(px - b) - vals(x - b)
@@ -283,7 +279,8 @@ def test_criterion_7_structural_invariants():
         u = 0.5 * (rng.standard_normal(ns.dim) + 1j * rng.standard_normal(ns.dim))
         w = 0.5 * (rng.standard_normal(ns.dim) + 1j * rng.standard_normal(ns.dim))
         sym = np.abs(ns.bilinear(u, w) - ns.bilinear(w, u)).max()
-        assert sym <= 1e-12 * np.sqrt(grid.h1_norm2(u) * grid.h1_norm2(w))
+        h1 = ns.error_norm.row_values
+        assert sym <= 1e-12 * np.sqrt(h1(u) * h1(w))
         uf = grid.expand(u)
         buu = grid.expand(ns.bilinear(u, u))
         energy = abs(np.real(np.sum(buu * np.conj(uf))))
@@ -356,7 +353,7 @@ def test_criterion_9_empirical_squeezing(tmp_path):
     gain = filters.Gain.identity_on_observed(P)
     vnorm = filters.VNorm.euclidean_plus_observed(P)
     r = dynamics.absorbing_radius(model)
-    R = filters.default_ball_radius(model)
+    R = filters.default_ball_radius(model, vnorm)
     scales = [1.0, 0.5, 0.25, 0.15, 0.1]
     res = harness.empirical_squeezing(
         model, P, gain, vnorm, 0.01,

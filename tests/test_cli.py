@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -478,6 +479,8 @@ OUT_OF_RANGE = {
     ),
     # an absent section reads as an empty one, whose required key is named
     "model-section-missing": ("mse-table", TINY, "[model]\nkind = lorenz63\n", "", "kind"),
+    # schema-valid, but its spectral grid and FFT block would not fit in memory
+    "k_max-huge": ("ns-demo", NS_EXPERIMENT, "k_max = 3", "k_max = 1_000", "k_max"),
 }
 
 
@@ -493,16 +496,42 @@ def test_out_of_range_config_values_exit_one(tmp_path, capsys, case):
     assert f"{key}: " in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_detect_on_an_L_near_float_max_is_a_numerical_failure(tmp_path, capsys):
     # every entry is finite, but the gain search scales its random restarts
-    # by max |L_ij| = 1e308, and they overflow
+    # by max |L_ij| = 1e308, and they would overflow: the input is refused
+    # before the search starts and before any verdict is printed
     out = str(tmp_path / "d.txt")
     cfg = write(tmp_path, DETECT.format(L="1e308 0; 0 1", extra="observed = 0"))
-    assert cli.main(["detect", "--config", cfg, "--out", out]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["detect", "--config", cfg, "--out", out]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n"), captured.err
+    assert lines[0].startswith("chaosfilter: numerical failure: [linear] L: "), lines
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+# case -> (subcommand, config template, what the message says)
+MODEL_MISMATCHES = {
+    "fourier-cutoff-on-lorenz63": (
+        "mse-table", TINY.replace("kind = coordinate-mask\nobserved = 0", "kind = fourier-cutoff"),
+        "fourier-cutoff applies to spectral models only",
+    ),
+    "ns-demo-on-lorenz63": ("ns-demo", TINY, "ns-demo expects a navier-stokes model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_MISMATCHES))
+def test_commands_on_the_wrong_model_kind_exit_one(tmp_path, capsys, case):
+    command, template, message = MODEL_MISMATCHES[case]
+    cfg = write(tmp_path, template.format(out=str(tmp_path / "o.csv")))
+    assert cli.main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("chaosfilter: numerical failure: [linear] L: "), err
-    assert "Traceback" not in err
+    assert err.startswith("chaosfilter: config error:"), err
+    assert message in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
@@ -963,7 +992,7 @@ def test_filter_streams_the_rows_of_the_collected_run(tmp_path, capsys, kind):
     rng = observation.substream(exp.seed, "filter-cli")
     steps = estimator.steps(model, seq, rng)
     run = filters.collect_run(
-        model, estimator.kind, steps, seq.n_steps, truth=observation.import_truth(truth)
+        model.error_norm, estimator.kind, steps, seq.n_steps, truth=observation.import_truth(truth)
     )
     filters.export_filter_run(run, tmp_path / "whole.csv")
     assert streamed.read_bytes() == (tmp_path / "whole.csv").read_bytes()

@@ -237,7 +237,7 @@ def test_step_batch_matches_individual_steps(name, n, seed):
     model = BATCH_MODELS[name]
     rng = np.random.default_rng(seed)
     batch = 5.0 * rng.standard_normal((n, model.dim))
-    if hasattr(model, "grid"):
+    if model.dtype == complex:
         batch = batch + 5.0j * rng.standard_normal((n, model.dim))
 
     def stepped(step, states):

@@ -29,8 +29,7 @@ def test_euclidean_plus_observed_values():
     P = observation.coordinate_projection(3, [0])
     V = filters.VNorm.euclidean_plus_observed(P)
     x = np.array([1.0, 2.0, 3.0])
-    assert V.value(x) == pytest.approx(1.0 + 14.0)
-    assert V.theta == 1.0
+    assert V.row_values(x) == pytest.approx(1.0 + 14.0)
 
 
 def test_vnorm_parallelogram_law():
@@ -39,27 +38,36 @@ def test_vnorm_parallelogram_law():
     rng = np.random.default_rng(0)
     for _ in range(100):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = V.value(x + y) + V.value(x - y)
-        assert lhs == pytest.approx(2.0 * (V.value(x) + V.value(y)), rel=1e-12)
+        lhs = V.row_values(x + y) + V.row_values(x - y)
+        assert lhs == pytest.approx(2.0 * (V.row_values(x) + V.row_values(y)), rel=1e-12)
 
 
 def test_vnorm_h1_matches_grid():
+    # the Sobolev norm summed over the full lattice, each -k beside its k
     grid = SpectralGrid(3)
     V = filters.VNorm.h1(grid)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(grid.n_reps) + 1j * rng.standard_normal(grid.n_reps)
-    assert V.value(x) == pytest.approx(grid.h1_norm2(x), rel=1e-12)
+    direct = np.sum(grid.k2_full * np.abs(grid.expand(x)) ** 2)
+    assert V.row_values(x) == pytest.approx(direct, rel=1e-12)
 
 
 def test_vnorm_definiteness_and_inner():
-    S = np.array([[2.0, 0.5], [0.5, 1.0]])
-    V = filters.VNorm.quadratic(S)
-    assert V.value(np.zeros(2)) == 0.0
+    # both diagonal forms vanish only at 0 and dominate their smallest
+    # weight times the Euclidean inner product x . conj(x)
+    grid = SpectralGrid(2)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        x = rng.standard_normal(2)
-        assert V.value(x) > 0.0
-        assert V.value(x) >= V.theta * (x @ x) - 1e-12
+    for V in (filters.VNorm.euclidean_plus_observed(observation.coordinate_projection(3, [1])),
+              filters.VNorm.h1(grid)):
+        dim = V.weights.size
+        assert V.row_values(np.zeros(dim, dtype=V.dtype)) == 0.0
+        for _ in range(50):
+            x = rng.standard_normal(dim)
+            if V.dtype == complex:
+                x = x + 1j * rng.standard_normal(dim)
+            assert V.row_values(x) > 0.0
+            inner = np.real(np.vdot(x, x))
+            assert V.row_values(x) >= V.weights.min() * inner * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +87,7 @@ def test_project_ball_lands_on_surface():
     x = np.array([5.0, -3.0, 7.0])
     R = 1.7
     out = filters.project_ball_V(V, R, x)
-    assert V.norm(out) == pytest.approx(R, abs=1e-12)
+    assert np.sqrt(V.row_values(out)) == pytest.approx(R, abs=1e-12)
     np.testing.assert_allclose(out / np.linalg.norm(out), x / np.linalg.norm(x))
 
 
@@ -92,26 +100,27 @@ def test_projection_moves_closer_to_every_ball_point():
     for _ in range(2000):
         x = 5.0 * rng.standard_normal(5)
         b = rng.standard_normal(5)
-        nb = V.norm(b)
+        nb = np.sqrt(V.row_values(b))
         if nb > R:
             b *= 0.99 * R / nb
         px = filters.project_ball_V(V, R, x)
-        assert V.value(px - b) <= V.value(x - b) + 1e-12
+        assert V.row_values(px - b) <= V.row_values(x - b) + 1e-12
 
 
 def test_projection_contraction_quadratic_norm():
-    S = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
-    V = filters.VNorm.quadratic(S)
-    R = 1.3
+    # the same contraction for a diagonal quadratic form with random
+    # positive weights, not tied to any observation mask
     rng = np.random.default_rng(4)
+    V = filters.VNorm(rng.uniform(0.1, 5.0, size=3))
+    R = 1.3
     for _ in range(2000):
         x = 4.0 * rng.standard_normal(3)
         b = rng.standard_normal(3)
-        nb = V.norm(b)
+        nb = np.sqrt(V.row_values(b))
         if nb > R:
             b *= 0.99 * R / nb
         px = filters.project_ball_V(V, R, x)
-        assert V.value(px - b) <= V.value(x - b) + 1e-12
+        assert V.row_values(px - b) <= V.row_values(x - b) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +196,7 @@ def test_truncated_matches_plain_inside_ball():
     model, P, noise = l63_setup()
     D = filters.Gain.identity_on_observed(P)
     V = filters.VNorm.euclidean_plus_observed(P)
-    R = filters.default_ball_radius(model)
+    R = filters.default_ball_radius(model, V)
     rng = np.random.default_rng(7)
     m = rng.standard_normal(3)
     v = rng.standard_normal(3)
@@ -205,18 +214,22 @@ def test_outlier_observation_is_pinned_to_ball_surface():
     model, P, noise = l63_setup()
     D = filters.Gain.identity_on_observed(P)
     V = filters.VNorm.euclidean_plus_observed(P)
-    R = filters.default_ball_radius(model)
+    R = filters.default_ball_radius(model, V)
     m = np.zeros(3)
     w_spike = np.array([1e3, 0.0, 0.0])
     y = P.apply(model.step(np.ones(3), 0.01)) + w_spike
     out = filters.truncated_observer_step(model, P, D, V, R, m, y, 0.01)
-    assert V.norm(out) == pytest.approx(R, rel=1e-12)
+    assert np.sqrt(V.row_values(out)) == pytest.approx(R, rel=1e-12)
 
 
 def test_default_ball_radius_values():
     model, P, _ = l63_setup()
     r = dynamics.absorbing_radius(model)
-    assert filters.default_ball_radius(model) == pytest.approx(np.sqrt(2.0) * r)
+    V = filters.VNorm.euclidean_plus_observed(P)
+    assert filters.default_ball_radius(model, V) == np.sqrt(2.0) * r
+    flow = navier_stokes_spectral(0.5, {(1, 0): 1.0}, 3)
+    V = flow.truncation_vnorm(observation.fourier_cutoff(flow.grid, 2.0))
+    assert filters.default_ball_radius(flow, V) == dynamics.absorbing_radius(flow)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +479,7 @@ def test_estimates_are_observation_measurable():
     for t in (truth, other_truth):
         observer = filters.FixedGainObserver(
             P, D, np.zeros(3),
-            vnorm=V, radius=filters.default_ball_radius(dynamics.lorenz63()),
+            vnorm=V, radius=filters.default_ball_radius(dynamics.lorenz63(), V),
         )
         run = filters.run_observer(dynamics.lorenz63(), observer, obs, truth=t)
         runs.append(run.estimates)
@@ -581,10 +594,11 @@ def test_squared_norm_of_a_state_is_its_batch_row(n, d, spectral, scale, seed):
         r = model.grid.n_reps
         x = scale * (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
     else:
-        model = dynamics.lorenz63()
+        model = DiscreteMapModel(np.eye(d))
         x = scale * rng.standard_normal((n, d))
-    batch = filters.squared_norms(model, x)
-    rows = np.array([filters.squared_norms(model, row) for row in x])
+    norm = model.error_norm
+    batch = norm.row_values(x)
+    rows = np.array([norm.row_values(row) for row in x])
     assert rows.tobytes() == batch.tobytes()
 
 

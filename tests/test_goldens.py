@@ -21,6 +21,12 @@ the writers that formatted one value at a time through ``csv.writer``.
 ``goldens/writers/`` holds what those writers made of hand-picked values
 (signed zeros, subnormals, magnitudes near the float limits, inf and nan),
 real and complex.
+
+``goldens/commands/`` holds the printed lines and the ``--out`` file of
+``squeeze-probe`` on the convection model and on the spectral flow at
+k_max 3, and of ``ns-demo`` on that flow, whose truncated observer
+projects onto its ball at every step. They were captured before the norms
+moved onto the models.
 """
 
 import glob
@@ -36,6 +42,13 @@ CONFIGS = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.cfg")))
 ROUNDTRIP_DIR = os.path.join(GOLDEN_DIR, "roundtrip")
 ROUNDTRIP_CONFIGS = sorted(glob.glob(os.path.join(ROUNDTRIP_DIR, "*.cfg")))
 WRITERS_DIR = os.path.join(GOLDEN_DIR, "writers")
+COMMANDS_DIR = os.path.join(GOLDEN_DIR, "commands")
+# golden name -> (subcommand, config)
+COMMAND_GOLDENS = {
+    "squeeze_l63": ("squeeze-probe", "squeeze_l63.cfg"),
+    "ns_k3_squeeze": ("squeeze-probe", "ns_k3.cfg"),
+    "ns_k3_demo": ("ns-demo", "ns_k3.cfg"),
+}
 
 
 def _name(config):
@@ -92,6 +105,19 @@ def test_simulate_filter_round_trip_matches_golden_bytes(tmp_path, capsys, confi
         with open(config[: -len(".cfg")] + name, "rb") as fh:
             want = fh.read()
         assert (tmp_path / ("sim" + name)).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_GOLDENS))
+def test_command_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, name):
+    command, config = COMMAND_GOLDENS[name]
+    # a relative --out, so the printed "wrote" line names no temporary folder
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", os.path.join(COMMANDS_DIR, config), "--out", name + ".csv"]
+    assert cli.main(argv) == 0
+    for suffix, got in ((".stdout", capsys.readouterr().out.encode()),
+                        (".csv", (tmp_path / (name + ".csv")).read_bytes())):
+        with open(os.path.join(COMMANDS_DIR, name + suffix), "rb") as fh:
+            assert got == fh.read(), suffix
 
 
 def special_values():

@@ -228,7 +228,7 @@ def l63_probe_pieces():
     gain = filters.Gain.identity_on_observed(P)
     vnorm = filters.VNorm.euclidean_plus_observed(P)
     r = dynamics.absorbing_radius(model)
-    R = filters.default_ball_radius(model)
+    R = filters.default_ball_radius(model, vnorm)
     return model, P, gain, vnorm, r, R
 
 
@@ -251,10 +251,13 @@ def test_probe_detects_loss_of_contraction_at_large_h():
 
 
 def test_probe_linear_map_respects_analytic_factor():
+    # x^T S x = |C x|^2 with S = C^T C, so in the coordinates y = C x the
+    # map is C M C^-1 and the certified norm is Euclidean: unit weights
     M = np.array([[0.8, 0.3], [0.0, 0.7]])
     S, alpha = linear_theory.contractive_norm(M)
-    vnorm = filters.VNorm.quadratic(S)
-    model = harness.DiscreteMapModel(M)
+    C = np.linalg.cholesky(S).T
+    vnorm = filters.VNorm(np.ones(2))
+    model = harness.DiscreteMapModel(C @ M @ np.linalg.inv(C))
     P = observation.coordinate_projection(2, [0])
     rng = observation.substream(9, "probe-linear")
     res = harness.empirical_squeezing(
@@ -291,14 +294,15 @@ def test_sample_v_ball_respects_radius():
     P = observation.coordinate_projection(3, [0])
     vnorm = filters.VNorm.euclidean_plus_observed(P)
     rng = np.random.default_rng(12)
-    draws = harness.sample_v_ball(rng, vnorm, 2.5, 3, size=500)
+    draws = harness.sample_v_ball(rng, vnorm, 2.5, size=500)
     for x in draws:
-        assert vnorm.norm(x) <= 2.5 + 1e-12
+        assert np.sqrt(vnorm.row_values(x)) <= 2.5 + 1e-12
 
 
 def test_sample_euclidean_ball_uniformity():
     rng = np.random.default_rng(13)
-    draws = harness.sample_euclidean_ball(rng, 3, 1.0, size=40_000)
+    # the ball of unit weights is the Euclidean ball
+    draws = harness.sample_v_ball(rng, filters.VNorm(np.ones(3)), 1.0, size=40_000)
     radii = np.linalg.norm(draws, axis=1)
     # P(|x| <= t) = t^3 in a uniform 3-ball
     assert np.mean(radii <= 0.5) == pytest.approx(0.125, abs=0.01)

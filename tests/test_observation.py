@@ -139,8 +139,9 @@ def test_spectral_noise_h1_power():
     P = observation.fourier_cutoff(grid, 9.0)
     noise = observation.SpectralModeNoise(P)
     rng = np.random.default_rng(6)
+    h1 = filters.VNorm.h1(grid)
     power = np.mean(
-        [grid.h1_norm2(noise.sample(rng)) for _ in range(20000)]
+        [h1.row_values(noise.sample(rng)) for _ in range(20000)]
     )
     assert power == pytest.approx(1.0, abs=0.02)
 

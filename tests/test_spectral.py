@@ -168,13 +168,13 @@ def test_conjugate_symmetry_of_vector_coefficients(grid):
     np.testing.assert_allclose(vc[nr:], np.conj(vc[:nr]), rtol=0, atol=0)
 
 
-def test_h1_norm_matches_direct_sum(grid):
+def test_h1_norm_matches_direct_sum(grid, model):
     u = random_state(grid, 4)
     direct = sum(
         grid.k2_full[i] * abs(c) ** 2
         for i, c in enumerate(grid.expand(u))
     )
-    assert grid.h1_norm2(u) == pytest.approx(direct, rel=1e-12)
+    assert model.error_norm.row_values(u) == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,8 @@ def test_bilinear_symmetry(grid, model):
     for seed in range(20):
         u, w = random_state(grid, 100 + seed), random_state(grid, 200 + seed)
         diff = model.bilinear(u, w) - model.bilinear(w, u)
-        nu = np.sqrt(grid.h1_norm2(u))
-        nw = np.sqrt(grid.h1_norm2(w))
+        nu = np.sqrt(model.error_norm.row_values(u))
+        nw = np.sqrt(model.error_norm.row_values(w))
         assert np.abs(diff).max() <= 1e-12 * nu * nw
 
 
@@ -213,7 +213,7 @@ def test_energy_conservation_l2_and_h1(grid, model):
         h1 = np.real(np.sum(grid.k2_full * buu * np.conj(uf)))
         l2_norm = float(np.sqrt(np.sum(np.abs(uf) ** 2)))
         assert abs(l2) <= 1e-10 * max(1.0, l2_norm**3)
-        assert abs(h1) <= 1e-9 * max(1.0, grid.h1_norm2(u) ** 1.5)
+        assert abs(h1) <= 1e-9 * max(1.0, model.error_norm.row_values(u) ** 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +257,14 @@ def test_integrating_factor_convergence(model, grid):
     fine = model.step(v, 0.1, substeps=64)
     errs = []
     for n in (4, 8, 16):
-        errs.append(np.sqrt(grid.h1_norm2(model.step(v, 0.1, substeps=n) - fine)))
+        errs.append(np.sqrt(model.error_norm.row_values(model.step(v, 0.1, substeps=n) - fine)))
     slope = np.polyfit(np.log([4, 8, 16]), np.log(errs), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.5)
 
 
 def test_absorbing_radius_uses_slowest_decay_rate():
     m = navier_stokes_spectral(0.5, {(1, 0): 1.0}, 4)
-    fnorm = np.sqrt(m.grid.h1_norm2(m.forcing))
+    fnorm = np.sqrt(m.error_norm.row_values(m.forcing))
     assert m.theta == pytest.approx(0.5)  # nu * (2 pi / l)^2 with l = 2 pi
     assert dynamics.absorbing_radius(m) == pytest.approx(np.sqrt(2.0) * fnorm / 0.5)
 
@@ -281,4 +281,4 @@ def test_trajectory_stays_in_absorbing_ball():
     v = random_state(m.grid, 9, scale=0.2)
     for _ in range(300):
         v = m.step(v, 0.02)
-    assert np.sqrt(m.grid.h1_norm2(v)) <= r
+    assert np.sqrt(m.error_norm.row_values(v)) <= r

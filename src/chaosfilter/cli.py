@@ -287,7 +287,7 @@ def _cmd_squeeze_probe(args):
     r_pairs = [(s * r, s * R) for s in sec["scales"]]
     rng = observation.substream(sec["seed"] if args.seed is None else args.seed, "squeeze")
     entries = harness.empirical_squeezing(
-        model, projection, gain, vnorm, sec["h"], r_pairs, sec["n_samples"], rng,
+        model, gain, vnorm, sec["h"], r_pairs, sec["n_samples"], rng,
         substeps=sec["substeps"] or None,
     )
     print(f"{'r_signal':>12}{'r_estimator':>13}{'alpha_hat':>12}{'frac>1':>10}")

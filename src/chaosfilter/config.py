@@ -325,9 +325,7 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
 
     if kind == "3dvar":
         gamma = noise_gamma(noise, projection)
-        return filters.ThreeDVar(
-            f["sigma2"] * np.eye(model.dim), projection, gamma, np.zeros(model.dim)
-        )
+        return filters.ThreeDVar(f["sigma2"], projection, gamma, np.zeros(model.dim))
 
     return filters.ParticleFilter(
         projection, noise, f["n_particles"], init_sampler,

@@ -111,7 +111,10 @@ class DissipativeModel(RealStateModel):
         nsub = self.substeps if substeps is None else int(substeps)
         if h <= 0:
             raise ValueError("assimilation interval h must be positive")
-        return check_finite(self.name, h, self._stepper(batch, nsub, h / nsub))
+        # a row that leaves float range is reported by check_finite alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = self._stepper(batch, nsub, h / nsub)
+        return check_finite(self.name, h, stepped)
 
     def step(self, u, h, substeps=None):
         """Advance a single state by one assimilation interval of length h."""

@@ -6,7 +6,8 @@ Each estimator yields one :class:`FilterStep` per step
 recursion of :func:`run_kalman`); :func:`collect_run` gathers a stream into
 a :class:`FilterRun` and :func:`write_filter_steps` writes it as it comes.
 
-The fixed-gain observer follows ``z' = (I - D P) Psi(z) + D y``. Truncation
+The fixed-gain observer follows ``z' = (I - D P) Psi(z) + D y``. Every gain
+D is diagonal and zero off the observed coordinates, so D P = D. Truncation
 composes that update with the metric projection onto a ball in a chosen
 diagonal norm, which bounds the estimator against noise outliers without
 touching its behaviour in the ordinary regime.
@@ -78,36 +79,24 @@ def project_ball_V(vnorm: VNorm, radius, x):
 
 
 class Gain:
-    """Linear gain applied to observations (annihilates the unobserved part)."""
+    """Diagonal gain: each coordinate of ``mask`` scaled by its weight (by
+    one without ``weights``), every other coordinate zeroed."""
 
-    def __init__(self, kind, projection=None, matrix=None):
-        self.kind = kind
-        self.projection = projection
-        self._matrix = matrix
+    def __init__(self, mask, weights=None):
+        self.mask = mask
+        self.weights = weights
 
     @classmethod
     def identity_on_observed(cls, projection):
-        return cls("identity-on-observed", projection=projection)
+        return cls(projection.mask)
 
     @classmethod
     def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def from_matrix(cls, matrix, kind="matrix"):
-        return cls(kind, matrix=np.asarray(matrix, dtype=float))
+        return cls(False)
 
     def apply(self, x):
         """D x for a state, or for each row of a (n, dim) batch."""
-        if self.kind == "identity-on-observed":
-            return self.projection.apply(x)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if np.ndim(x) == 2:
-            # one matrix-vector product per row: a matrix-matrix product
-            # may sum in another order and change the last bits
-            return np.array([self._matrix @ row for row in x]).reshape(np.shape(x))
-        return self._matrix @ x
+        return np.where(self.mask, x if self.weights is None else x * self.weights, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +140,7 @@ class FixedGainObserver:
     def assimilate(self, FZ, Y):
         """Analysis rows from forecast rows ``FZ`` and observation rows ``Y``."""
         _check_observation(self.projection, Y)
-        Z = FZ - self.gain.apply(self.projection.apply(FZ)) + self.gain.apply(Y)
+        Z = FZ - self.gain.apply(FZ) + self.gain.apply(Y)
         if self.vnorm is not None:
             Z = project_ball_V(self.vnorm, self.radius, Z)
         return Z
@@ -277,11 +266,11 @@ def run_observer(model, observer: FixedGainObserver, observations, truth=None) -
 def _kalman_gain(cov, projection, gamma, eps):
     """K = C P^T (P C P^T + eps^2 Gamma)^-1, solved on the observed block;
     the columns of unobserved indices are zero."""
-    Pmat = projection.matrix()
-    S_full = Pmat @ cov @ Pmat + eps**2 * np.asarray(gamma, dtype=float)
     obs = projection.observed
+    block = np.ix_(obs, obs)
+    S = cov[block] + eps**2 * np.asarray(gamma, dtype=float)[block]
     try:
-        sol = np.linalg.solve(S_full[np.ix_(obs, obs)], cov[:, obs].T).T
+        sol = np.linalg.solve(S, cov[:, obs].T).T
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError("singular innovation covariance") from exc
     if not np.isfinite(sol).all():
@@ -291,25 +280,27 @@ def _kalman_gain(cov, projection, gamma, eps):
     return K
 
 
-def kalman_gain_3dvar(model_cov, projection, gamma, eps) -> Gain:
-    """Fixed gain K = C P^T (P C P^T + eps^2 Gamma)^-1 on the observed block."""
-    K = _kalman_gain(np.asarray(model_cov, dtype=float), projection, gamma, eps)
-    return Gain.from_matrix(K, kind="kalman-gain")
+def kalman_gain_3dvar(sigma2, projection, gamma, eps) -> Gain:
+    """Fixed gain K = C P^T (P C P^T + eps^2 Gamma)^-1 with C = sigma2 I,
+    which is diagonal and zero off the observed coordinates."""
+    K = _kalman_gain(sigma2 * np.eye(projection.dim), projection, gamma, eps)
+    return Gain(projection.mask, np.diag(K))
 
 
 class ThreeDVar:
     """3DVAR: the fixed-gain observer whose gain
-    K = C P^T (P C P^T + eps^2 Gamma)^-1 depends on the noise strength."""
+    K = C P^T (P C P^T + eps^2 Gamma)^-1, C = sigma2 I, depends on the noise
+    strength."""
 
-    def __init__(self, model_cov, projection, gamma, z0):
-        self.model_cov = np.asarray(model_cov, dtype=float)
+    def __init__(self, sigma2, projection, gamma, z0):
+        self.sigma2 = sigma2
         self.projection = projection
         self.gamma = gamma
         self.z0 = np.asarray(z0)
 
     def at_eps(self, eps) -> FixedGainObserver:
         """The observer with the gain of noise strength eps (one gain build)."""
-        gain = kalman_gain_3dvar(self.model_cov, self.projection, self.gamma, eps)
+        gain = kalman_gain_3dvar(self.sigma2, self.projection, self.gamma, eps)
         return FixedGainObserver(self.projection, gain, self.z0)
 
 
@@ -325,7 +316,8 @@ def kalman_filter_step(L, projection, gamma, eps, mean, cov, y_next):
     gamma = np.asarray(gamma, dtype=float)
     pred_cov = L @ cov @ L.T
     K = _kalman_gain(pred_cov, projection, gamma, eps)
-    IKP = np.eye(L.shape[0]) - K @ projection.matrix()
+    # K is zero off the observed columns, so K P = K
+    IKP = np.eye(L.shape[0]) - K
     new_mean = IKP @ (L @ mean) + K @ y_next
     new_cov = IKP @ pred_cov @ IKP.T + eps**2 * (K @ gamma @ K.T)
     new_cov = 0.5 * (new_cov + new_cov.T)

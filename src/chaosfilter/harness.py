@@ -342,7 +342,6 @@ class SqueezeEntry:
 
 def empirical_squeezing(
     model,
-    projection,
     gain,
     vnorm,
     h,
@@ -358,7 +357,8 @@ def empirical_squeezing(
     For each radius pair ``(r_signal, r_estimator)`` the probe draws the
     first point uniformly from the signal ball (the ball of the model's
     error norm), the second from the estimator V-ball, and records
-    ``V((I - D P)(Psi(v) - Psi(u))) / V(v - u)``. A maximum below one
+    ``V((I - D)(Psi(v) - Psi(u))) / V(v - u)`` (D is zero off the observed
+    coordinates, so D P = D). A maximum below one
     supports (but cannot prove) one-step contraction at this radius pair.
     Returns one ``SqueezeEntry`` per pair, in order.
     """
@@ -373,7 +373,7 @@ def empirical_squeezing(
             fv = model.step_batch(v, h, substeps=substeps)
             fu = model.step_batch(u, h, substeps=substeps)
             delta = fv - fu
-            corr = delta - gain.apply(projection.apply(delta))
+            corr = delta - gain.apply(delta)
             ratios[done : done + m] = vnorm.row_values(corr) / vnorm.row_values(v - u)
             done += m
         top = max(1.0, float(ratios.max()))

@@ -41,19 +41,30 @@ class DetectabilityVerdict:
 def hautus_detectable(L, P, tol=STABILITY_TOL) -> DetectabilityVerdict:
     """Rank test: every non-decaying eigendirection must be visible to P.
 
-    (L, P) is detectable iff the stacked matrix [lambda I - L; P] has full
-    column rank for every eigenvalue lambda with |lambda| >= 1 (equivalently
-    Ker(lambda I - L) and Ker P intersect trivially). On failure the
+    (L, P) is detectable iff Ker(lambda I - L) and Ker P intersect
+    trivially for every eigenvalue lambda with |lambda| >= 1 (equivalently
+    the stacked [lambda I - L; P] has full column rank). On failure the
     offending eigenvalue is returned as a witness.
+
+    Each block is judged on its own scale, so that a map far larger than P
+    cannot hide P's rows: the kernel is spanned by the singular directions
+    of lambda I - L under that matrix's rank tolerance (at least one, as
+    lambda is an eigenvalue), and P must keep its rank on it at P's own
+    tolerance times s_max / gap, the kernel's sensitivity to rounding.
     """
     L = np.asarray(L, dtype=float)
     P = np.atleast_2d(np.asarray(P, dtype=float))
     d = L.shape[0]
+    eps = np.finfo(float).eps
+    p_scale = np.linalg.norm(P, 2) * ((d + P.shape[0]) * eps)
     for lam in np.linalg.eigvals(L):
         if abs(lam) < 1.0 - tol:
             continue
-        stacked = np.vstack([lam * np.eye(d) - L, P])
-        if np.linalg.matrix_rank(stacked) < d:
+        _, s, vh = np.linalg.svd(lam * np.eye(d) - L)
+        n_null = max(1, int(np.sum(s <= s[0] * (d * eps))))
+        condition = s[0] / s[d - n_null - 1] if n_null < d else 1.0
+        kernel = vh[d - n_null :].conj().T
+        if np.linalg.matrix_rank(P @ kernel, tol=p_scale * condition) < n_null:
             return DetectabilityVerdict(False, witness=complex(lam))
     return DetectabilityVerdict(True)
 
@@ -129,37 +140,21 @@ def find_gain(L, P, budget=20) -> GainSearchResult:
     return GainSearchResult(bool(best_rho < 1.0), best_D, float(best_rho))
 
 
-def contractive_norm(M, alpha_target=None):
+def contractive_norm(M):
     """Quadratic form S with V(x) = x^T S x strictly decreasing along x -> M x.
 
     S solves the discrete Lyapunov equation S = I + M^T S M (the sum of the
     series S = sum_i (M^T)^i M^i); then V(M x) <= alpha V(x) with
-    alpha = 1 - 1/lambda_max(S) < 1. With ``alpha_target`` the equation is
-    rescaled to S = I + M^T S M / alpha_target, so the certificate
-    guarantees that specific factor (requires rho(M)^2 < alpha_target).
+    alpha = 1 - 1/lambda_max(S) < 1.
 
-    Returns ``(S, alpha)``; raises ValueError when M is not stable enough.
+    Returns ``(S, alpha)``; raises ValueError when M is not stable.
     """
     from scipy.linalg import solve_discrete_lyapunov
 
     M = np.asarray(M, dtype=float)
     rho = spectral_radius(M)
-    if alpha_target is None:
-        if rho >= 1.0:
-            raise ValueError(f"map is not stable: spectral radius {rho:.6g} >= 1")
-        scale = 1.0
-    else:
-        if not 0.0 < alpha_target < 1.0:
-            raise ValueError("alpha_target must lie in (0, 1)")
-        if rho**2 >= alpha_target:
-            raise ValueError(
-                f"cannot certify factor {alpha_target}: spectral radius^2 = {rho**2:.6g}"
-            )
-        scale = 1.0 / alpha_target
-    S = solve_discrete_lyapunov(np.sqrt(scale) * M.T, np.eye(M.shape[0]))
+    if rho >= 1.0:
+        raise ValueError(f"map is not stable: spectral radius {rho:.6g} >= 1")
+    S = solve_discrete_lyapunov(M.T, np.eye(M.shape[0]))
     S = 0.5 * (S + S.T)
-    if alpha_target is None:
-        alpha = 1.0 - 1.0 / float(np.linalg.eigvalsh(S)[-1])
-    else:
-        alpha = float(alpha_target)
-    return S, alpha
+    return S, 1.0 - 1.0 / float(np.linalg.eigvalsh(S)[-1])

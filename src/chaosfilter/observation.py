@@ -67,9 +67,6 @@ class CoordinateProjection:
         x = np.asarray(x)
         return np.where(self.mask, 0.0, x)
 
-    def matrix(self):
-        return np.diag(self.mask.astype(float))
-
     def __repr__(self):
         return f"CoordinateProjection(dim={self.dim}, observed={self.observed.tolist()})"
 

@@ -51,7 +51,6 @@ class SpectralGrid:
         self.n_reps = len(reps)
         self.full = np.vstack([self.reps, -self.reps])
         self.n_full = 2 * self.n_reps
-        self._lookup = {tuple(n): i for i, n in enumerate(self.full)}
 
         kv = self.scale * self.full.astype(float)
         self.kvecs = kv
@@ -80,7 +79,18 @@ class SpectralGrid:
         return np.concatenate([reps_coeffs, -np.conj(reps_coeffs)])
 
     def index_of(self, n):
-        return self._lookup[tuple(int(v) for v in n)]
+        """Position of wavevector n in ``full``: n1 (2 k_max + 1) + n2 - 1 for
+        a representative, that of -n plus ``n_reps`` for its mirror;
+        KeyError outside the lattice."""
+        key = tuple(int(v) for v in n)
+        n1, n2 = key
+        offset = 0
+        if n1 < 0 or (n1 == 0 and n2 < 0):
+            n1, n2, offset = -n1, -n2, self.n_reps
+        k = self.k_max
+        if n1 > k or abs(n2) > k or n1 == n2 == 0:
+            raise KeyError(key)
+        return offset + n1 * (2 * k + 1) + n2 - 1
 
     def velocity_coeffs(self, reps_coeffs):
         """Full-lattice vector coefficients v_k = v'_k k_perp/|k|, shape (n_full, 2)."""
@@ -184,8 +194,10 @@ class SpectralNSModel:
         integrated in blocks of rows; BlowUpError names every non-finite row."""
         states = np.asarray(states, dtype=np.complex128)
         rows = max(1, BLOCK_POINTS // self.grid.fft_shape[0] ** 2)
-        blocks = [self._advance(states[i : i + rows], h, substeps)
-                  for i in range(0, len(states), rows)]
+        # a row that leaves float range is reported by check_finite alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [self._advance(states[i : i + rows], h, substeps)
+                      for i in range(0, len(states), rows)]
         return check_finite(self.name, h, np.concatenate(blocks))
 
     def __repr__(self):

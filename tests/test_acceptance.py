@@ -356,7 +356,7 @@ def test_criterion_9_empirical_squeezing(tmp_path):
     R = filters.default_ball_radius(model, vnorm)
     scales = [1.0, 0.5, 0.25, 0.15, 0.1]
     res = harness.empirical_squeezing(
-        model, P, gain, vnorm, 0.01,
+        model, gain, vnorm, 0.01,
         [(s * r, s * R) for s in scales], 10_000,
         observation.substream(2025, "squeeze-l63"),
     )
@@ -389,7 +389,7 @@ def test_criterion_9_empirical_squeezing(tmp_path):
         Pl = observation.fourier_cutoff(ns.grid, lam)
         gl = filters.Gain.identity_on_observed(Pl)
         scan = harness.empirical_squeezing(
-            ns, Pl, gl, ns_vnorm, 0.01, [(r_ns, r_ns)], 1000,
+            ns, gl, ns_vnorm, 0.01, [(r_ns, r_ns)], 1000,
             observation.substream(2025, "squeeze-ns-scan", str(lam)), substeps=2,
         )
         if scan[0].alpha_hat < 1.0:
@@ -400,7 +400,7 @@ def test_criterion_9_empirical_squeezing(tmp_path):
     Pf = observation.fourier_cutoff(ns.grid, lam_final)
     gf = filters.Gain.identity_on_observed(Pf)
     res_ns = harness.empirical_squeezing(
-        ns, Pf, gf, ns_vnorm, 0.01, [(r_ns, r_ns)], 10_000,
+        ns, gf, ns_vnorm, 0.01, [(r_ns, r_ns)], 10_000,
         observation.substream(2025, "squeeze-ns"), substeps=2,
     )
     e_ns = res_ns[0]

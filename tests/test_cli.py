@@ -484,7 +484,6 @@ OUT_OF_RANGE = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_config_values_exit_one(tmp_path, capsys, case):
     command, template, old, new, key = OUT_OF_RANGE[case]
@@ -609,7 +608,6 @@ SCHEMA_NUMBERS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", ["token", "range"])
 @pytest.mark.parametrize(
     "section,kind,key", SCHEMA_NUMBERS, ids=[f"{s}-{k}-{key}" for s, k, key in SCHEMA_NUMBERS]
@@ -793,15 +791,16 @@ def test_particle_filter_on_noise_free_file_exits_one(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failure_exits_two(tmp_path, capsys):
     cfg = write(tmp_path, BLOWUP, "blowup.cfg")
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "numerical failure" in err, err
     # no truth, observation or .meta file, and no temporary file
     assert os.listdir(tmp_path) == ["blowup.cfg"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("failure,code", [
     ("truth-short", 1), ("blow-up", 2), ("blow-up-and-bad-truth", 1),
 ])
@@ -1027,6 +1026,16 @@ def test_detect_verdicts(capsys):
     assert "no stabilizing gain found" in out
 
 
+def test_detect_on_a_badly_scaled_map(tmp_path, capsys):
+    # a 1e20 eigenvalue beside P's unit row: the observed direction is the
+    # expanding one, and observing through the map must agree
+    cfg = write(tmp_path, DETECT.format(L="1e20 0; 0 0.5", extra="observed = 0"))
+    assert cli.main(["detect", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "detectable: yes" in out
+    assert "shift equivalence (P vs PL): consistent" in out
+
+
 def test_squeeze_probe_smoke(tmp_path, capsys):
     text = """
 [model]
@@ -1195,6 +1204,21 @@ def test_only_detect_loads_scipy(tmp_path):
     code = COLD_PATH.format(runs=runs, detect=os.path.abspath(cfg_path("detect_rotation.cfg")))
     proc = _fresh_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_blow_ups_are_reported_without_numpy_warnings(tmp_path):
+    # mse-table counts its blown-up rows in the report; simulate names its
+    # blow-up in one line; neither lets numpy warn about the overflow
+    golden = os.path.join(os.path.dirname(__file__), "goldens", "l63_blowup.cfg")
+    table = _fresh_python(
+        ["-m", "chaosfilter", "mse-table", "--config", golden, "--out", str(tmp_path / "r.csv")],
+        tmp_path,
+    )
+    assert table.returncode == 0 and table.stderr == "", table.stderr
+    cfg = write(tmp_path, BLOWUP, "blowup.cfg")
+    sim = _fresh_python(["-m", "chaosfilter", "simulate", "--config", cfg, "--out", "s"], tmp_path)
+    assert sim.returncode == 2, sim.stderr
+    assert len(sim.stderr.splitlines()) == 1 and "numerical failure" in sim.stderr, sim.stderr
 
 
 def test_slope_fit_does_not_load_numpy_ma(tmp_path):

@@ -187,6 +187,7 @@ def test_generic_stepper_matches_fast_kernel(l63, l96):
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_raises(l63):
     huge = np.array([1e200, 1e200, 1e200])
     with pytest.raises(dynamics.BlowUpError):

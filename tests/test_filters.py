@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosfilter import dynamics, filters, observation
+from chaosfilter.config import noise_gamma
 from chaosfilter.harness import DiscreteMapModel
 from chaosfilter.observation import ObservationSequence
 from chaosfilter.spectral import SpectralGrid, navier_stokes_spectral
@@ -241,7 +242,7 @@ def test_kalman_gain_scalar_blend():
     gamma = np.diag([1.0, 0.0])
     sigma2 = 0.7
     eps = 0.4
-    K = filters.kalman_gain_3dvar(sigma2 * np.eye(2), P, gamma, eps)
+    K = filters.kalman_gain_3dvar(sigma2, P, gamma, eps)
     expected = sigma2 / (sigma2 + eps**2)
     np.testing.assert_allclose(
         K.apply(np.array([1.0, 0.0])), [expected, 0.0], rtol=1e-12
@@ -251,31 +252,107 @@ def test_kalman_gain_scalar_blend():
 def test_kalman_gain_noise_limits():
     P = observation.coordinate_projection(2, [0])
     gamma = np.diag([1.0, 0.0])
-    K0 = filters.kalman_gain_3dvar(np.eye(2), P, gamma, 1e-9)
+    K0 = filters.kalman_gain_3dvar(1.0, P, gamma, 1e-9)
     np.testing.assert_allclose(K0.apply(np.array([1.0, 0.0])), [1.0, 0.0], atol=1e-12)
-    Kinf = filters.kalman_gain_3dvar(np.eye(2), P, gamma, 1e9)
+    Kinf = filters.kalman_gain_3dvar(1.0, P, gamma, 1e9)
     np.testing.assert_allclose(Kinf.apply(np.array([1.0, 0.0])), [0.0, 0.0], atol=1e-12)
 
 
 def test_kalman_gain_singular_innovation():
     P = observation.coordinate_projection(2, [0])
     with pytest.raises(filters.FilterNumericsError):
-        filters.kalman_gain_3dvar(np.zeros((2, 2)), P, np.zeros((2, 2)), 0.0)
+        filters.kalman_gain_3dvar(0.0, P, np.zeros((2, 2)), 0.0)
 
 
 def test_induced_filter_matches_displayed_update():
     model, P, noise = l63_setup()
     gamma = np.diag([1.0, 0.0, 0.0])
     eps = 0.2
-    K = filters.kalman_gain_3dvar(0.5 * np.eye(3), P, gamma, eps)
+    K = filters.kalman_gain_3dvar(0.5, P, gamma, eps)
     z = np.array([0.1, 0.2, 0.3])
     y = P.apply(np.array([2.0, 0.0, 0.0]))
     out = filters.observer_step(model, P, K, z, y, 0.01)
     fz = model.step(z, 0.01)
-    Kmat = K._matrix
-    Pmat = P.matrix()
+    Kmat = np.diag(K.weights)
+    Pmat = np.diag(P.mask.astype(float))
     expected = (np.eye(3) - Kmat @ Pmat) @ fz + Kmat @ y
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+
+def per_row_gain(K, X):
+    """A dense gain matrix applied one matrix-vector product per row: the
+    reference the diagonal gains must reproduce."""
+    return np.array([K @ row for row in X]).reshape(np.shape(X))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def gain_setup(d, sigma2, eps):
+    """Projection, diagonal 3DVAR gain and its dense matrix at dimension d."""
+    if d == 3:
+        P = observation.coordinate_projection(3, [0])
+    else:
+        P = observation.every_third_unobserved(d)
+    gamma = noise_gamma(observation.GaussianObservedNoise(P), P)
+    K = filters._kalman_gain(sigma2 * np.eye(d), P, gamma, eps)
+    return P, filters.kalman_gain_3dvar(sigma2, P, gamma, eps), K
+
+
+GAIN_CASES = dict(
+    d=st.sampled_from([3, 60]),
+    sigma2=st.sampled_from([0.25, 1.0, 4.0]),
+    eps=st.sampled_from([1e-3, 0.01, 0.1, 0.5, 2.0]),
+    n_rows=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**GAIN_CASES)
+def test_diagonal_3dvar_gain_matches_per_row_matrix_product(d, sigma2, eps, n_rows, seed):
+    P, gain, K = gain_setup(d, sigma2, eps)
+    np.testing.assert_array_equal(K, np.diag(gain.weights))
+    X = 20.0 * np.random.default_rng(seed).standard_normal((n_rows, d))
+    expected = per_row_gain(K, P.apply(X))
+    assert same_bits(gain.apply(X), expected)
+    assert same_bits(gain.apply(P.apply(X)), expected)
+    assert same_bits(gain.apply(X[0]), K @ P.apply(X[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_identity_and_zero_gains_on_real_and_complex_rows(n_rows, seed):
+    rng = np.random.default_rng(seed)
+    grid = SpectralGrid(3)
+    real = rng.standard_normal((n_rows, 2 * grid.n_reps))
+    cases = [
+        (observation.every_third_unobserved(6), real[:, :6]),
+        (observation.fourier_cutoff(grid, 2.0), real[:, ::2] + 1j * real[:, 1::2]),
+    ]
+    for P, X in cases:
+        for x in (X, X[0]):
+            assert same_bits(filters.Gain.identity_on_observed(P).apply(x), P.apply(x))
+            assert same_bits(filters.Gain.zero().apply(x), np.zeros_like(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GAIN_CASES)
+def test_assimilate_matches_two_projection_form(d, sigma2, eps, n_rows, seed):
+    P, gain_3dvar, K = gain_setup(d, sigma2, eps)
+    rng = np.random.default_rng(seed)
+    FZ = 20.0 * rng.standard_normal((n_rows, d))
+    Y = P.apply(20.0 * rng.standard_normal((n_rows, d)))
+    references = [
+        (gain_3dvar, lambda x: per_row_gain(K, x)),
+        (filters.Gain.identity_on_observed(P), P.apply),
+        (filters.Gain.zero(), np.zeros_like),
+    ]
+    for gain, reference in references:
+        observer = filters.FixedGainObserver(P, gain, np.zeros(d))
+        expected = FZ - reference(P.apply(FZ)) + reference(Y)
+        assert same_bits(observer.assimilate(FZ, Y), expected)
 
 
 # ---------------------------------------------------------------------------

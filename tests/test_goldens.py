@@ -73,14 +73,12 @@ def _assert_mse_table_matches_golden(tmp_path, config):
         assert (tmp_path / ("report.csv" + suffix)).read_bytes() == want, suffix or ".csv"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("config", CONFIGS, ids=_name)
 def test_mse_table_matches_golden_bytes(tmp_path, capsys, config):
     _assert_mse_table_matches_golden(tmp_path, config)
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 @pytest.mark.parametrize("config", CONFIGS, ids=_name)
 def test_mse_table_does_not_depend_on_noise_chunk(tmp_path, capsys, monkeypatch, config, chunk):

@@ -236,7 +236,7 @@ def test_probe_contracts_at_small_radii():
     model, P, gain, vnorm, r, R = l63_probe_pieces()
     rng = observation.substream(7, "probe-small")
     res = harness.empirical_squeezing(
-        model, P, gain, vnorm, 0.01, [(0.05 * r, 0.05 * R)], 3000, rng
+        model, gain, vnorm, 0.01, [(0.05 * r, 0.05 * R)], 3000, rng
     )
     assert res[0].alpha_hat < 1.0
 
@@ -245,7 +245,7 @@ def test_probe_detects_loss_of_contraction_at_large_h():
     model, P, gain, vnorm, r, R = l63_probe_pieces()
     rng = observation.substream(8, "probe-largeh")
     res = harness.empirical_squeezing(
-        model, P, gain, vnorm, 2.0, [(0.05 * r, 0.05 * R)], 500, rng, substeps=2000
+        model, gain, vnorm, 2.0, [(0.05 * r, 0.05 * R)], 500, rng, substeps=2000
     )
     assert res[0].alpha_hat >= 1.0
 
@@ -261,7 +261,7 @@ def test_probe_linear_map_respects_analytic_factor():
     P = observation.coordinate_projection(2, [0])
     rng = observation.substream(9, "probe-linear")
     res = harness.empirical_squeezing(
-        model, P, filters.Gain.zero(), vnorm, 1.0, [(1.0, 1.0)], 5000, rng
+        model, filters.Gain.zero(), vnorm, 1.0, [(1.0, 1.0)], 5000, rng
     )
     assert res[0].alpha_hat <= alpha + 1e-9
 
@@ -270,7 +270,7 @@ def test_probe_histogram_accounts_everything():
     model, P, gain, vnorm, r, R = l63_probe_pieces()
     rng = observation.substream(10, "probe-hist")
     res = harness.empirical_squeezing(
-        model, P, gain, vnorm, 0.01, [(0.1 * r, 0.1 * R)], 2000, rng
+        model, gain, vnorm, 0.01, [(0.1 * r, 0.1 * R)], 2000, rng
     )
     e = res[0]
     assert e.hist_counts.sum() == 2000
@@ -281,7 +281,7 @@ def test_squeeze_histogram_csv(tmp_path):
     model, P, gain, vnorm, r, R = l63_probe_pieces()
     rng = observation.substream(11, "probe-csv")
     res = harness.empirical_squeezing(
-        model, P, gain, vnorm, 0.01, [(0.05 * r, 0.05 * R)], 500, rng
+        model, gain, vnorm, 0.01, [(0.05 * r, 0.05 * R)], 500, rng
     )
     path = tmp_path / "hist.csv"
     harness.write_squeeze_histogram(res, path)

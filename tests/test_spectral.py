@@ -147,6 +147,19 @@ def test_grid_counts():
     assert g.n_full == 288
 
 
+@pytest.mark.parametrize("k_max", range(1, 9))
+def test_index_of_matches_enumeration(k_max):
+    g = SpectralGrid(k_max)
+    for i, n in enumerate(g.full):
+        assert g.index_of(n) == i
+        mirror = g.index_of(-n)
+        assert mirror == (i + g.n_reps) % g.n_full
+        np.testing.assert_array_equal(g.full[mirror], -n)
+    for outside in [(0, 0), (k_max + 1, 0), (0, -k_max - 1), (-k_max - 1, k_max), (2, 9 * k_max)]:
+        with pytest.raises(KeyError):
+            g.index_of(outside)
+
+
 def test_velocity_field_is_real(grid):
     u = random_state(grid, 0)
     pts = np.random.default_rng(1).uniform(0, 2 * np.pi, size=(7, 2))
@@ -269,6 +282,7 @@ def test_absorbing_radius_uses_slowest_decay_rate():
     assert dynamics.absorbing_radius(m) == pytest.approx(np.sqrt(2.0) * fnorm / 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_guard(model, grid):
     v = np.full(grid.n_reps, 1e200 + 0j)
     with pytest.raises(dynamics.BlowUpError):

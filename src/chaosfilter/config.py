@@ -241,8 +241,9 @@ def build_model(spec):
     k_max, mode = m["k_max"], m["forcing_mode"]
     need = spectral.model_bytes(k_max)
     if need > spectral.MEMORY_BUDGET:
-        raise ConfigError(f"[model] k_max: the grid and FFT block of k_max = {k_max} need "
-                          f"{need >> 20} MiB, over the {spectral.MEMORY_BUDGET >> 20} MiB budget")
+        raise ConfigError(f"[model] k_max: the grid and stepping workspace of "
+                          f"k_max = {k_max} need {need >> 20} MiB, over the "
+                          f"{spectral.MEMORY_BUDGET >> 20} MiB budget")
     if max(map(abs, mode)) > k_max:
         raise ConfigError(f"[model] forcing_mode: need |n1|, |n2| <= k_max = {k_max}, got {mode}")
     return spectral.navier_stokes_spectral(

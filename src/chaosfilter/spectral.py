@@ -17,20 +17,42 @@ from .dynamics import check_finite
 from .filters import VNorm
 from .observation import spectral_smooth_init
 
+add, multiply = np.add, np.multiply
+
 TWO_PI = 2.0 * np.pi
-#: grid points per block of rows that step_batch integrates at once, which
-#: bounds the advection term's FFT temporaries to about 18 MB
+#: grid points per block of rows that step_batch integrates at once; the
+#: advection workspace of a block takes about 150 bytes a point, 20 MB
 BLOCK_POINTS = 2**17
-#: bytes the grid tables and one FFT block of a truncation may take; a
-#: k_max whose ``model_bytes`` exceed it is refused before anything is built
+#: bytes the grid tables and the stepping workspace of a truncation may
+#: take; a k_max whose ``model_bytes`` exceed it is refused before anything
+#: is built
 MEMORY_BUDGET = 2**30
 
 
+def fft_size(k_max):
+    """The advection grid's side M: the smallest 5-smooth M >= 3 k_max + 1
+    (M is 5-smooth iff it divides a power of 30)."""
+    m = 3 * k_max + 1
+    while pow(30, m, m):
+        m += 1
+    return m
+
+
 def model_bytes(k_max):
-    """Memory of a k_max truncation, as measured: about 600 bytes for each
-    of the 2 k_max (k_max + 1) representative modes, and 160 for each point
-    of an FFT block of max(BLOCK_POINTS, M^2) points, M about 3 k_max + 1."""
-    return 1200 * k_max * (k_max + 1) + 160 * max(BLOCK_POINTS, (3 * k_max + 1) ** 2)
+    """Memory of a k_max truncation, as measured with tracemalloc: 300
+    bytes for each of the 2 k_max (k_max + 1) representative modes (the
+    tables' build peaks at 255-275 from k_max 8 on), and 170 for each point
+    of the stepping workspace (151-157 at one row of M^2 points, M =
+    ``fft_size(k_max)``). step_batch keeps the workspace of one block, of
+    at most BLOCK_POINTS points or one row; below 2 BLOCK_POINTS the
+    estimate also covers the batch itself, whose rows outnumber a block's
+    at small k_max (traced peaks of 20-27 MiB from k_max 1 to 64)."""
+    return 600 * k_max * (k_max + 1) + 170 * max(2 * BLOCK_POINTS, fft_size(k_max) ** 2)
+
+
+def _stage_buffers(rows, dim):
+    """The state and two stage buffers of ``SpectralNSModel._advance``."""
+    return _kernels._empties(np.dtype(np.complex128), *[(rows, dim)] * 3)
 
 
 class SpectralGrid:
@@ -57,11 +79,8 @@ class SpectralGrid:
         self.k2_full = np.einsum("ij,ij->i", kv, kv)
         self.k2_reps = self.k2_full[: self.n_reps]
 
-        # FFT plan of _kernels.bilinear_conv on the smallest 5-smooth
-        # M >= 3 k_max + 1 (M is 5-smooth iff it divides a power of 30)
-        m = 3 * self.k_max + 1
-        while pow(30, m, m):
-            m += 1
+        # FFT plan of _kernels.bilinear_conv on the M x M grid
+        m = fft_size(self.k_max)
         half = m // 2 + 1
         self.fft_shape = (m, half)
         n1, n2 = self.reps.T
@@ -164,26 +183,47 @@ class SpectralNSModel:
     # -- time stepping ------------------------------------------------------------
 
     def _nonlinear(self, u):
-        return self.forcing - self._conv(u, u)
+        g = self._conv(u, u)
+        return np.subtract(self.forcing, g, out=g)
 
-    def _advance(self, u, h, substeps):
-        if h <= 0:
-            raise ValueError("assimilation interval h must be positive")
-        u = np.array(u, dtype=np.complex128)
-        nsub = self.substeps if substeps is None else int(substeps)
-        dt = h / nsub
+    def _advance(self, u, nsub, dt):
+        """Integrating-factor RK4 of the block ``u`` through nsub substeps
+        of dt, in the workspace state ``v`` and stage buffers ``s`` and
+        ``t`` of the block's shape; returns ``v``. It keeps the operations
+        and order of
+        ua = decay (u + dt/2 g0), ub = decay u + dt/2 ga,
+        uc = decay^2 u + dt decay gb and
+        u = decay^2 u + dt/6 (decay^2 g0 + 2 decay (ga + gb) + gc)."""
+        n, dim = u.shape
+        v, s, t = (buf[:n] for buf in _kernels._row_workspace(
+            ("ns", dim), n, _stage_buffers, dim))
+        v[...] = u
         decay = np.exp(-self.nu * self.grid.k2_reps * (dt / 2.0))
         decay2 = decay * decay
+        dt_decay, two_decay, half_dt = dt * decay, 2.0 * decay, 0.5 * dt
         for _ in range(nsub):
-            g0 = self._nonlinear(u)
-            ua = decay * (u + 0.5 * dt * g0)
-            ga = self._nonlinear(ua)
-            ub = decay * u + 0.5 * dt * ga
-            gb = self._nonlinear(ub)
-            uc = decay2 * u + dt * decay * gb
-            gc = self._nonlinear(uc)
-            u = decay2 * u + (dt / 6.0) * (decay2 * g0 + 2.0 * decay * (ga + gb) + gc)
-        return u
+            g0 = self._nonlinear(v)
+            multiply(half_dt, g0, s)
+            add(v, s, s)
+            multiply(decay, s, s)
+            ga = self._nonlinear(s)
+            multiply(decay, v, s)
+            multiply(half_dt, ga, t)
+            add(s, t, s)
+            gb = self._nonlinear(s)
+            multiply(decay2, v, s)
+            multiply(dt_decay, gb, t)
+            add(s, t, s)
+            gc = self._nonlinear(s)
+            add(ga, gb, ga)
+            multiply(two_decay, ga, ga)
+            multiply(decay2, g0, g0)
+            add(g0, ga, g0)
+            add(g0, gc, g0)
+            multiply(dt / 6.0, g0, g0)
+            multiply(decay2, v, s)
+            add(s, g0, v)
+        return v
 
     def step(self, u, h, substeps=None):
         """One assimilation interval via integrating-factor RK4."""
@@ -192,13 +232,17 @@ class SpectralNSModel:
     def step_batch(self, states, h, substeps=None):
         """Advance a batch of states (n, dim). Rows are independent and are
         integrated in blocks of rows; BlowUpError names every non-finite row."""
+        if h <= 0:
+            raise ValueError("assimilation interval h must be positive")
         states = np.asarray(states, dtype=np.complex128)
+        nsub = self.substeps if substeps is None else int(substeps)
         rows = max(1, BLOCK_POINTS // self.grid.fft_shape[0] ** 2)
+        out = np.empty_like(states)
         # a row that leaves float range is reported by check_finite alone
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [self._advance(states[i : i + rows], h, substeps)
-                      for i in range(0, len(states), rows)]
-        return check_finite(self.name, h, np.concatenate(blocks))
+            for i in range(0, len(states), rows):
+                out[i : i + rows] = self._advance(states[i : i + rows], nsub, h / nsub)
+        return check_finite(self.name, h, out)
 
     def __repr__(self):
         return f"SpectralNSModel(k_max={self.grid.k_max}, nu={self.nu})"

@@ -481,6 +481,8 @@ OUT_OF_RANGE = {
     "model-section-missing": ("mse-table", TINY, "[model]\nkind = lorenz63\n", "", "kind"),
     # schema-valid, but its spectral grid and FFT block would not fit in memory
     "k_max-huge": ("ns-demo", NS_EXPERIMENT, "k_max = 3", "k_max = 1_000", "k_max"),
+    # the first k_max over the budget (spectral.model_bytes)
+    "k_max-over-budget": ("ns-demo", NS_EXPERIMENT, "k_max = 3", "k_max = 684", "k_max"),
 }
 
 

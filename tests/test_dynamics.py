@@ -255,6 +255,14 @@ def test_step_batch_matches_individual_steps(name, n, seed):
     np.testing.assert_allclose(together, separate, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("name", ["lorenz63", "lorenz96-60", "spectral-k3"])
+def test_step_batch_of_no_rows(name):
+    # a batch whose rows have all been excluded steps to an empty batch
+    model = BATCH_MODELS[name]
+    got = model.step_batch(np.empty((0, model.dim), model.dtype), 0.02)
+    assert got.shape == (0, model.dim) and got.dtype == model.dtype
+
+
 def lorenz96_rk4_by_roll(u, nsub, dt, forcing):
     """The cyclic-advection RK4 stepper written with np.roll, as a reference."""
 

@@ -1,11 +1,12 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosfilter import dynamics, spectral
+from chaosfilter import _kernels, dynamics, spectral
 from chaosfilter.spectral import SpectralGrid, navier_stokes_spectral
 
 
@@ -135,6 +136,117 @@ def test_step_batch_across_row_blocks(monkeypatch, k_max):
     together = model.step_batch(rows, 0.02)  # blocks of 3, 3 and 2 rows
     assert np.isfinite(together).all()
     assert together.tobytes() == separate.tobytes()
+
+
+def bilinear_conv_by_rfft2(u, w, shape, put, mirror, mult, fold):
+    """The advection kernel written with np.fft.irfft2 and rfft2 and a
+    freshly allocated spectrum on every call, as a reference."""
+    n, r = u.shape
+    fields = (u,) if w is u else (u, w)
+    spec = np.zeros((len(fields), 4, n) + shape, dtype=np.complex128)
+    for s, x in zip(spec, fields):
+        c = mult[:, None, :] * x
+        s.reshape(4, n, -1)[..., put] = np.concatenate([c, np.conj(c[..., mirror])], -1)
+    grids = np.fft.irfft2(spec, s=(shape[0],) * 2, norm="forward")
+    (px, py, ox, oy), (qx, qy, rx, ry) = grids[0], grids[-1]
+    jac = px * ry
+    jac -= py * rx
+    if w is not u:
+        swap = qx * oy
+        swap -= qy * ox
+        jac += swap
+        jac *= 0.5
+    return np.fft.rfft2(jac, norm="forward").reshape(n, -1)[:, put[:r]] * fold
+
+
+def workspace_buffers():
+    return [buf for bufs in _kernels._workspaces.values() for buf in bufs]
+
+
+# (k_max, rows, w is u, log10 of the scale) of one call
+CONV_CALLS = st.tuples(
+    st.sampled_from([1, 3, 8, 16]),
+    st.sampled_from([1, 3, 16]),
+    st.booleans(),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(calls=st.lists(CONV_CALLS, min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_fft_advection_matches_rfft2_reference_bitwise(calls, seed):
+    # the kernel reuses one workspace per state shape, for any batch up to
+    # the largest yet and for w is u and w apart alike; each result must
+    # still be the reference's bytes, in a new array of its own that later
+    # calls leave alone
+    rng = np.random.default_rng(seed)
+    results = []
+    for k_max, n, same, log_scale in calls:
+        g = ns_model(k_max).grid
+        args = (g.fft_shape, g.fft_put, g.fft_mirror, g.conv_w, g.fft_fold)
+        u, w = 10.0**log_scale * (
+            rng.standard_normal((2, n, g.n_reps)) + 1j * rng.standard_normal((2, n, g.n_reps))
+        )
+        if same:
+            w = u
+        before = u.tobytes() + w.tobytes()
+        got = _kernels.bilinear_conv(u, w, *args)
+        want = bilinear_conv_by_rfft2(u, w, *args)
+        assert got.shape == (n, g.n_reps) and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() + w.tobytes() == before
+        assert got.flags.owndata
+        assert not any(np.shares_memory(got, buf) for buf in workspace_buffers())
+        assert len(_kernels._workspaces) <= _kernels.WORKSPACE_LIMIT
+        results.append((got, want.tobytes()))
+    for got, want in results:
+        assert got.tobytes() == want
+
+
+@pytest.mark.parametrize("k_max", [1, 8])
+def test_a_run_of_full_blocks_and_a_remainder_keeps_its_workspaces(monkeypatch, k_max):
+    # blocks of 3, 3 and 2 rows, and the advection term of w apart on 3
+    # rows: one advection and one RK4 workspace serve them all, and the
+    # second run finds every buffer of the first
+    _kernels._workspaces.clear()
+    model = ns_model(k_max)
+    rows = np.stack([random_state(model.grid, 40 + i) for i in range(8)])
+    monkeypatch.setattr(spectral, "BLOCK_POINTS", 3 * model.grid.fft_shape[0] ** 2)
+
+    def run():
+        stepped = model.step_batch(rows, 0.02)
+        model._conv(rows[:3], rows[3:6])
+        return stepped
+
+    first = run()
+    kept = dict(_kernels._workspaces)
+    assert len(kept) == 2
+    assert run().tobytes() == first.tobytes()
+    assert _kernels._workspaces.keys() == kept.keys()
+    assert all(_kernels._workspaces[key] is bufs for key, bufs in kept.items())
+    assert not any(np.shares_memory(first, buf) for buf in workspace_buffers())
+
+
+@pytest.mark.parametrize("k_max, rows", [(1, 12_000), (16, 78), (175, 2)])
+def test_model_bytes_bounds_the_measured_peak(k_max, rows):
+    # the tables of the grid, then a step of a full block of rows and a
+    # remainder; at k_max 175, M^2 = 540^2 exceeds 2 BLOCK_POINTS and each
+    # block is one row. Traced from a fresh workspace
+    _kernels._workspaces.clear()
+    tracemalloc.start()
+    try:
+        model = navier_stokes_spectral(0.5, {(1, 0): 1.0}, k_max, substeps=1)
+        model.step_batch(np.full((rows, model.dim), 1e-3 + 0j), 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spectral.model_bytes(k_max)
+
+
+def test_memory_budget_boundary():
+    # k_max 683 (M = 2160) is the largest truncation the budget admits
+    assert spectral.model_bytes(683) <= spectral.MEMORY_BUDGET < spectral.model_bytes(684)
+    assert spectral.fft_size(683) == spectral.fft_size(684) == 2160
 
 
 # ---------------------------------------------------------------------------

@@ -51,16 +51,19 @@ class VNorm:
         return cls(2.0 * grid.k2_reps, complex)
 
     def row_values(self, x):
-        """V of a state, or of each row of a (n, dim) batch. A row reduces
-        on its own, so a state's value is bit for bit its row's."""
-        return np.sum(self.weights * np.abs(x) ** 2, axis=-1)
+        """V of a state, or of each row of a (n, dim) batch: inf for a row
+        whose V is past float range. A row reduces on its own, so a state's
+        value is bit for bit its row's."""
+        with np.errstate(over="ignore"):
+            return np.sum(self.weights * np.abs(x) ** 2, axis=-1)
 
 
 def project_ball_V(vnorm: VNorm, radius, x):
     """Closest point of the ball {V(u)^(1/2) <= radius} in the V norm.
 
     A (n, dim) batch is projected row by row: only the rows whose V norm
-    exceeds the radius are rescaled."""
+    exceeds the radius are rescaled. A finite row whose V is past float
+    range is sized from the row divided by its largest |entry|."""
     if radius <= 0:
         raise ValueError("ball radius must be positive")
     x = np.asarray(x)
@@ -70,6 +73,9 @@ def project_ball_V(vnorm: VNorm, radius, x):
     out = x.copy()
     outside = ~(sizes <= radius)
     if outside.any():
+        huge = np.isinf(sizes) & np.isfinite(x).all(axis=1)
+        top = np.abs(x[huge]).max(axis=1, keepdims=True)
+        sizes[huge] = top[:, 0] * np.sqrt(vnorm.row_values(x[huge] / top))
         out[outside] = x[outside] * (radius / sizes[outside])[:, None]
     return out
 
@@ -440,8 +446,10 @@ class ParticleFilter:
                 return
             w = np.exp(logw - shift)
             w /= w.sum()
-            mean = w @ particles
-            post_trace = float(np.real(w @ squared_deviations(particles, mean)))
+            # a cloud spread past float range gives an inf mean or spread
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = w @ particles
+                post_trace = float(np.real(w @ squared_deviations(particles, mean)))
             ess = 1.0 / float(w @ w)
             yield FilterStep(mean, ess, post_trace)
             if ess < threshold * n_particles:

@@ -6,9 +6,11 @@ every noise strength, and aggregate the squared estimation error at final
 time. Every (filter, eps, trial) row of a fixed-gain filter advances in
 one batch with the truth, in a single thread, on noise drawn from each
 trial's substream a fixed chunk of steps at a time, so without a particle
-filter, and in final-error mode, nothing the run holds grows with T. All
-randomness flows through named substreams of one master seed, so reports
-are byte-stable under any trial order, batch and chunk.
+filter, and in final-error mode, nothing the run holds grows with T. Rows
+keep their place in the batch: a row that leaves float range is stepped on
+from zero and ignored, and a row whose squared error is not finite is
+excluded. All randomness flows through named substreams of one master
+seed, so reports are byte-stable under any trial order, batch and chunk.
 """
 
 import csv
@@ -86,60 +88,54 @@ def _segments(row_est):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _row_steps(config, model, projection, noise, groups, starts):
+def _row_steps(config, model, projection, noise, groups, starts, row_group, row_trial):
     """Advance the truth of every signal start and every fixed-gain row.
 
-    A row is one (group, trial) pair of a group whose estimator is a
-    FixedGainObserver. Truth and rows step together, in one ``step_batch``
-    call per step; each run of rows sharing an estimator is analysed in
-    one ``assimilate`` call, on noise drawn ``NOISE_CHUNK`` steps at a time
-    from each trial's substream. Yields ``(alive, truth, row_group,
-    row_trial, rows)`` for j = 0..J, or until no state is left: the starts
-    whose truth is finite, with their states, and the rows still finite,
-    with theirs. A truth that leaves float range drops every row of its
-    trials.
+    The state holds the starts, then one row per (``row_group``,
+    ``row_trial``) pair, each of a group whose estimator is a
+    FixedGainObserver; every row keeps its place for the whole run. Truth
+    and rows step together, in one ``step_batch`` call per step; each run of
+    rows sharing an estimator is analysed in one ``assimilate`` call, on
+    noise drawn ``NOISE_CHUNK`` steps at a time from each trial's substream.
+    Yields ``(live, state)`` for j = 0..J, or until nothing is live: ``live``
+    marks the states that never left float range and the rows whose truth
+    did not either. A dead state is set to zero, a finite stand-in that is
+    stepped and analysed like any other and read by no one.
     """
-    n_noise, n_steps = config.n_noise, config.n_steps
-    n_trials = starts.shape[0] * n_noise
+    n_noise, n_starts = config.n_noise, starts.shape[0]
+    n_trials = n_starts * n_noise
     estimators = [est for _, _, est in groups]
     est_index = np.array([estimators.index(est) for est in estimators])
-    group_eps = np.array([eps for _, eps, _ in groups], dtype=float)
-    batched = [
-        g for g, est in enumerate(estimators) if isinstance(est, filters.FixedGainObserver)
-    ]
+    row_truth = row_trial // n_noise
+    row_eps = np.array([eps for _, eps, _ in groups], dtype=float)[row_group, None]
     rngs = [substream(config.seed, "noise", *divmod(t, n_noise)) for t in range(n_trials)]
-
-    # state rows: the live signal starts, then the live filter rows
-    alive = np.arange(starts.shape[0])
-    row_group = np.repeat(batched, n_trials).astype(int)
-    row_trial = np.tile(np.arange(n_trials), len(batched))
-    state = np.concatenate([starts] + [estimators[g].init(n_trials) for g in batched])
     segments = _segments(est_index[row_group])
-    yield alive, starts, row_group, row_trial, state[alive.size :]
-    for j in range(n_steps):
-        if state.shape[0] == 0:
+    # row_group[::n_trials] names each fixed-gain group once
+    state = np.concatenate(
+        [starts] + [estimators[g].init(n_trials) for g in row_group[::n_trials]]
+    )
+    live = np.ones(state.shape[0], dtype=bool)
+    yield live, state
+    for j in range(config.n_steps):
+        if not live.any():
             return
         try:
             state = model.step_batch(state, config.h)
         except BlowUpError as exc:
-            bad_truth, bad_rows = exc.bad[: alive.size], exc.bad[alive.size :]
-            drop = bad_rows | np.isin(row_trial // n_noise, alive[bad_truth])
-            state = exc.states[np.concatenate([~bad_truth, ~drop])]
-            alive = alive[~bad_truth]
-            row_group, row_trial = row_group[~drop], row_trial[~drop]
-            segments = _segments(est_index[row_group])
-        truth, forecast = state[: alive.size], state[alive.size :]
-        if row_group.size:  # rows only drop, so a live row saw this chunk drawn
+            state, live = exc.states, live & ~exc.bad
+            live[n_starts:] &= live[row_truth]
+            state[~live] = 0
+        if row_group.size:
             if j % NOISE_CHUNK == 0:
                 chunk = np.stack([noise.sample(rng, NOISE_CHUNK) for rng in rngs])
             ys = (
-                projection.apply(truth)[np.searchsorted(alive, row_trial // n_noise)]
-                + group_eps[row_group][:, None] * chunk[row_trial, j % NOISE_CHUNK]
+                projection.apply(state[:n_starts])[row_truth]
+                + row_eps * chunk[row_trial, j % NOISE_CHUNK]
             )
             for a, b in segments:
-                analysis = estimators[row_group[a]].assimilate(forecast[a:b], ys[a:b])
-                state[alive.size + a : alive.size + b] = analysis
-        yield alive, truth, row_group, row_trial, state[alive.size :]
+                rows = slice(n_starts + a, n_starts + b)
+                state[rows] = estimators[row_group[a]].assimilate(state[rows], ys[a:b])
+        yield live, state
 
 
 def run_mse_experiment(config) -> MseReport:
@@ -149,12 +145,17 @@ def run_mse_experiment(config) -> MseReport:
     filters (observer, truncated observer, 3DVAR) run as (filter, eps,
     trial) rows that advance together with the truth, one batch per step
     (see ``_row_steps``); the per-row arithmetic is that of a single
-    state, so the numbers do not depend on the batch. Noise is drawn per
-    chunk of steps, so in final-error mode without a particle filter nothing
-    held grows with T. Particle filters then run one trial at a time on the
-    stored truth, drawing their trial's noise block again. A truth that
-    leaves float range excludes every filter of its trials; a filter row
-    that does, or a particle run that degenerates, excludes only itself.
+    state, so the numbers do not depend on the batch. Every row keeps its
+    place for the whole run: a row that leaves float range is marked dead,
+    stepped from zero and ignored. Noise is drawn per chunk of steps, so in
+    final-error mode without a particle filter nothing held grows with T.
+    Particle filters then run one trial at a time on the stored truth,
+    drawing their trial's noise block again. A trial's error is the mean
+    of its squared errors over the scored steps: the last, or the second
+    half in time-averaged mode. A truth that leaves float range excludes
+    every filter of its trials; a filter row that does, a particle run that
+    degenerates, or an error that is not finite, excludes only its own
+    (filter, eps, trial).
     """
     from . import config as cfgmod
 
@@ -167,52 +168,48 @@ def run_mse_experiment(config) -> MseReport:
         for spec in config.filters
     ]
     seed, h, n_steps, n_noise = config.seed, config.h, config.n_steps, config.n_noise
-    n_trials = config.n_inits * n_noise  # trial t pairs start t // n_noise with noise t % n_noise
+    n_starts = config.n_inits
+    n_trials = n_starts * n_noise  # trial t pairs start t // n_noise with noise t % n_noise
     # one group per (filter, eps), in report order
     groups = [
         (spec["name"], eps, runner.at_eps(eps))
         for spec, runner in zip(config.filters, runners)
         for eps in config.epsilons
     ]
-    per_trial = [
-        g for g, (_, _, est) in enumerate(groups)
-        if not isinstance(est, filters.FixedGainObserver)
+    fixed = [
+        g for g, (_, _, est) in enumerate(groups) if isinstance(est, filters.FixedGainObserver)
     ]
-    errors = np.zeros((len(groups), n_trials))
+    per_trial = [g for g in range(len(groups)) if g not in fixed]
+    # the fixed-gain rows after the starts, by group, then by trial
+    row_group = np.repeat(fixed, n_trials).astype(int)
+    row_trial = np.tile(np.arange(n_trials), len(fixed))
 
     starts = np.stack(
-        [init_sampler(substream(seed, "init", i)) for i in range(config.n_inits)]
+        [init_sampler(substream(seed, "init", i)) for i in range(n_starts)]
     )
     truths = None
     if per_trial:
-        truths = np.empty((config.n_inits, n_steps + 1) + starts.shape[1:], dtype=starts.dtype)
-    averaged = config.mse_mode == "time-averaged"
-    tail_start = n_steps // 2
-    if averaged:
-        # row-major, so that each row's mean sums in the order np.mean of
-        # that row alone does
-        tail = np.zeros((len(groups), n_trials, n_steps + 1 - tail_start))
-    norm = model.error_norm
-    steps = _row_steps(config, model, projection, noise, groups, starts)
-    for j, (alive, truth, row_group, row_trial, rows) in enumerate(steps):
-        if truths is not None:
-            truths[alive, j] = truth
-        if row_group.size and (j == n_steps or (averaged and j >= tail_start)):
-            sq = norm.row_values(truth[np.searchsorted(alive, row_trial // n_noise)] - rows)
-            if averaged:
-                tail[row_group, row_trial, j - tail_start] = sq
-            else:
-                errors[row_group, row_trial] = sq
-    if averaged:
-        errors[row_group, row_trial] = tail[row_group, row_trial].mean(axis=1)
-    # used: the rows finite at the end, and per-trial filters of finite truths
+        truths = np.empty((n_starts, n_steps + 1) + starts.shape[1:], dtype=starts.dtype)
+    first = n_steps // 2 if config.mse_mode == "time-averaged" else n_steps
+    # row-major, so that each (group, trial)'s mean sums in the order np.mean
+    # of its scored steps alone does
+    scored = np.zeros((len(groups), n_trials, n_steps + 1 - first))
     excluded = np.ones((len(groups), n_trials), dtype=bool)
-    excluded[row_group, row_trial] = False
-    excluded[per_trial] = ~np.isin(np.arange(n_trials) // n_noise, alive)
+    norm = model.error_norm
+    steps = _row_steps(config, model, projection, noise, groups, starts, row_group, row_trial)
+    for j, (live, state) in enumerate(steps):
+        truth = state[:n_starts]
+        if truths is not None:
+            truths[:, j] = truth
+        if j >= first:
+            scored[row_group, row_trial, j - first] = norm.row_values(
+                truth[row_trial // n_noise] - state[n_starts:]
+            )
+    excluded[row_group, row_trial] = ~live[n_starts:]
 
     for t in range(n_trials):
         i, k = divmod(t, n_noise)
-        if not per_trial or i not in alive:
+        if not per_trial or not live[i]:
             continue
         observed = projection.apply(truths[i, 1:])
         w = noise.sample(substream(seed, "noise", i, k), n_steps)
@@ -223,13 +220,13 @@ def run_mse_experiment(config) -> MseReport:
             try:
                 run = filters.particle_filter(model, est, obs, rng, truth=truths[i])
             except BlowUpError:
-                excluded[g, t] = True
                 continue
-            if run.degenerate_at is not None:
-                excluded[g, t] = True
-            else:
-                sq = run.sq_errors
-                errors[g, t] = np.mean(sq[tail_start:]) if averaged else sq[-1]
+            if run.degenerate_at is None:
+                scored[g, t] = run.sq_errors[first:]
+                excluded[g, t] = False
+    with np.errstate(over="ignore"):
+        errors = scored.mean(axis=2)
+    excluded |= ~np.isfinite(errors)
 
     rows = []
     slopes = {}
@@ -239,14 +236,14 @@ def run_mse_experiment(config) -> MseReport:
         for e, eps in enumerate(config.epsilons):
             g = f * n_eps + e
             arr = errors[g][~excluded[g]]
-            mse = float(arr.mean()) if arr.size else float("nan")
-            stderr = (
-                float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-            )
+            # finite errors may sum or spread past float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                mse = float(arr.mean()) if arr.size else float("nan")
+                stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
             rows.append(
                 MseRow(spec["name"], eps, mse, stderr, arr.size, int(excluded[g].sum()))
             )
-            if eps > 0 and arr.size and mse > 0:
+            if eps > 0 and 0 < mse < np.inf:
                 fit_points.append((eps, mse))
         if len(fit_points) >= 3:
             slopes[spec["name"]] = fit_scaling_exponent(fit_points)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +92,17 @@ def test_project_ball_lands_on_surface():
     out = filters.project_ball_V(V, R, x)
     assert np.sqrt(V.row_values(out)) == pytest.approx(R, abs=1e-12)
     np.testing.assert_allclose(out / np.linalg.norm(out), x / np.linalg.norm(x))
+
+
+def test_project_ball_sizes_a_row_whose_V_overflows():
+    # V of the first row is past float range; the second row keeps its bits
+    V = filters.VNorm(np.ones(3))
+    x = np.array([[1e200, 0.0, 0.0], [5.0, -3.0, 7.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = filters.project_ball_V(V, 10.0, x)
+    np.testing.assert_array_equal(out[0], [10.0, 0.0, 0.0])
+    np.testing.assert_array_equal(out[1], filters.project_ball_V(V, 10.0, x[1]))
 
 
 def test_projection_moves_closer_to_every_ball_point():

@@ -37,6 +37,9 @@ import pytest
 
 from chaosfilter import cli, filters, harness, observation
 
+# a numpy warning in a golden run is a fault even when the bytes match
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 CONFIGS = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.cfg")))
 ROUNDTRIP_DIR = os.path.join(GOLDEN_DIR, "roundtrip")

@@ -1,10 +1,17 @@
+import dataclasses
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from chaosfilter import config as cfgmod
 from chaosfilter import dynamics, filters, harness, linear_theory, observation
 from chaosfilter.config import ExperimentConfig
+
+# truths, filter rows, squared errors and particle clouds leave float range
+BLOWUP_CFG = os.path.join(os.path.dirname(__file__), "goldens", "l63_blowup.cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +166,76 @@ def test_multiple_filters_reported():
     report = harness.run_mse_experiment(cfg)
     names = {r.filter_name for r in report.rows}
     assert names == {"trunc", "plain", "blend"}
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_overflowing_errors_are_excluded_without_warnings(seed):
+    # at seeds 1, 3 and 6 a finite 3DVAR row has a squared error past
+    # float range, which must exclude it and not make the row's mse inf
+    cfg = cfgmod.load_experiment_config(BLOWUP_CFG, seed_override=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = harness.run_mse_experiment(cfg)
+    for row in report.rows:
+        assert np.isfinite(row.mse) or (np.isnan(row.mse) and row.n_used == 0), row
+    assert report.slopes
+    for slope, half in report.slopes.values():
+        assert np.isfinite(slope) and np.isfinite(half)
+
+
+@pytest.mark.parametrize("seed", [11, 3])
+def test_every_used_engine_row_equals_its_filter_run_alone(seed):
+    # the fixed-gain filters of the blow-up golden, each (filter, eps) row
+    # against run_observer on every trial alone: a truth or a filter that
+    # leaves float range, or a final squared error past it (3DVAR at seed
+    # 3), excludes the trial
+    cfg = cfgmod.load_experiment_config(BLOWUP_CFG, seed_override=seed)
+    cfg = dataclasses.replace(
+        cfg, filters=[spec for spec in cfg.filters if spec["kind"] != "particle"]
+    )
+    assert cfg.n_noise == 2 and len(cfg.filters) == 4 and len(cfg.epsilons) > 1
+    report = harness.run_mse_experiment(cfg)
+
+    model = cfgmod.build_model(cfg.model)
+    projection = cfgmod.build_projection(cfg.observation, model)
+    noise = cfgmod.build_noise(cfg.noise, projection)
+    init_sampler = cfgmod.build_init_sampler(cfg.model, model)
+    trials = []
+    for t in range(cfg.n_inits * cfg.n_noise):
+        i, k = divmod(t, cfg.n_noise)
+        truth = [init_sampler(observation.substream(seed, "init", i))]
+        try:
+            for _ in range(cfg.n_steps):
+                truth.append(model.step(truth[-1], cfg.h))
+        except dynamics.BlowUpError:
+            truth = None
+        w = noise.sample(observation.substream(seed, "noise", i, k), cfg.n_steps)
+        trials.append((truth, w))
+    assert any(truth is None for truth, _ in trials)
+
+    for spec in cfg.filters:
+        runner = cfgmod.build_filter_runner(spec, model, projection, noise, init_sampler)
+        for eps in cfg.epsilons:
+            observer = runner.at_eps(eps)
+            used = []
+            for truth, w in trials:
+                if truth is None:
+                    continue
+                truth = np.array(truth)
+                ys = projection.apply(truth[1:]) + eps * w
+                obs = observation.ObservationSequence(eps=eps, h=cfg.h, ys=ys)
+                try:
+                    run = filters.run_observer(model, observer, obs, truth=truth)
+                except dynamics.BlowUpError:
+                    continue
+                if np.isfinite(run.sq_errors[-1]):
+                    used.append(run.sq_errors[-1])
+            row = report.row(spec["name"], eps)
+            assert (row.n_used, row.n_excluded) == (len(used), len(trials) - len(used))
+            if used:
+                assert row.mse == np.mean(used), (spec["name"], eps)
+            else:
+                assert np.isnan(row.mse)
 
 
 def _traced_peak_of_experiment(cfg):

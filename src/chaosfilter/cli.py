@@ -278,6 +278,9 @@ def _cmd_squeeze_probe(args):
     if not parser.has_section("squeeze"):
         raise ConfigError("squeeze-probe needs a [squeeze] section")
     sec = cfgmod.typed("squeeze", dict(parser.items("squeeze")))
+    # the sampled ratios of one radius pair, a float each
+    cfgmod.within_budget("[squeeze] n_samples", f"the ratios of {sec['n_samples']} samples",
+                         8 * sec["n_samples"])
     model = cfgmod.build_model(model_spec)
     projection = cfgmod.build_projection(obs_spec, model)
     vnorm = cfgmod.default_vnorm(model, projection)

@@ -61,21 +61,25 @@ class VNorm:
 def project_ball_V(vnorm: VNorm, radius, x):
     """Closest point of the ball {V(u)^(1/2) <= radius} in the V norm.
 
-    A (n, dim) batch is projected row by row: only the rows whose V norm
-    exceeds the radius are rescaled. A finite row whose V is past float
-    range is sized from the row divided by its largest |entry|."""
-    if radius <= 0:
+    A (n, dim) batch is projected row by row, each row onto the ball of
+    ``radius`` or, given one radius per row, of its own (an infinite radius
+    leaves its row as it is): only the rows whose V norm exceeds their
+    radius are rescaled. A finite row whose V is past float range is sized
+    from the row divided by its largest |entry|."""
+    if np.any(np.asarray(radius) <= 0):
         raise ValueError("ball radius must be positive")
     x = np.asarray(x)
     if x.ndim == 1:
         return project_ball_V(vnorm, radius, x[None])[0]
     sizes = np.sqrt(vnorm.row_values(x))
     out = x.copy()
-    outside = ~(sizes <= radius)
+    outside = ~(sizes <= radius) & (radius < np.inf)
     if outside.any():
         huge = np.isinf(sizes) & np.isfinite(x).all(axis=1)
         top = np.abs(x[huge]).max(axis=1, keepdims=True)
         sizes[huge] = top[:, 0] * np.sqrt(vnorm.row_values(x[huge] / top))
+        # only the rows outside are divided: a zero row has size 0
+        radius = np.broadcast_to(radius, sizes.shape)[outside]
         out[outside] = x[outside] * (radius / sizes[outside])[:, None]
     return out
 
@@ -139,9 +143,26 @@ class FixedGainObserver:
         """The estimator used at noise strength eps: this one, its gain is fixed."""
         return self
 
-    def init(self, n_rows):
-        """Initial estimates of ``n_rows`` rows, shape (n_rows, dim)."""
-        return np.repeat(self.z0[None], n_rows, axis=0)
+    @classmethod
+    def stacked(cls, observers):
+        """One observer over a batch whose row i starts from
+        ``observers[i].z0`` and is updated exactly as ``observers[i]`` alone
+        would update it.
+
+        The observers share their projection and, where truncated, their
+        V norm. Gain masks, weights and starts are stacked row by row; a
+        row without weights takes weights of one, which multiply real rows
+        exactly, and the rows of an observer without a ball get an
+        infinite radius."""
+        first, dim = observers[0], observers[0].z0.size
+        mask = np.stack([np.broadcast_to(o.gain.mask, dim) for o in observers])
+        weights = [o.gain.weights for o in observers]
+        weights = None if all(w is None for w in weights) else np.stack(
+            [np.ones(dim) if w is None else w for w in weights])
+        radius = np.array([np.inf if o.vnorm is None else o.radius for o in observers])
+        vnorm = next((o.vnorm for o in observers if o.vnorm is not None), None)
+        z0 = np.stack([o.z0 for o in observers])
+        return cls(first.projection, Gain(mask, weights), z0, vnorm=vnorm, radius=radius)
 
     def assimilate(self, FZ, Y):
         """Analysis rows from forecast rows ``FZ`` and observation rows ``Y``."""
@@ -155,7 +176,7 @@ class FixedGainObserver:
         """Yield the :class:`FilterStep` of j = 0..J on one observation
         sequence: this estimator at one row, forecast one model step at a
         time (``rng`` is unused)."""
-        z = self.init(1)
+        z = self.z0[None]
         yield FilterStep(z[0])
         for j in range(observations.n_steps):
             z = self.assimilate(

@@ -79,41 +79,30 @@ class MseReport:
 NOISE_CHUNK = 64
 
 
-def _segments(row_est):
-    """(start, stop) of each run of consecutive rows sharing an estimator."""
-    if row_est.size == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(row_est)) + 1
-    bounds = np.concatenate(([0], cuts, [row_est.size]))
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _row_steps(config, model, projection, noise, groups, starts, row_group, row_trial):
     """Advance the truth of every signal start and every fixed-gain row.
 
     The state holds the starts, then one row per (``row_group``,
     ``row_trial``) pair, each of a group whose estimator is a
     FixedGainObserver; every row keeps its place for the whole run. Truth
-    and rows step together, in one ``step_batch`` call per step; each run of
-    rows sharing an estimator is analysed in one ``assimilate`` call, on
-    noise drawn ``NOISE_CHUNK`` steps at a time from each trial's substream.
-    Yields ``(live, state)`` for j = 0..J, or until nothing is live: ``live``
-    marks the states that never left float range and the rows whose truth
-    did not either. A dead state is set to zero, a finite stand-in that is
-    stepped and analysed like any other and read by no one.
+    and rows step together, in one ``step_batch`` call per step, and every
+    row is analysed in one ``assimilate`` call per step, of the observer
+    that stacks the rows' estimators, on noise drawn ``NOISE_CHUNK`` steps
+    at a time from each trial's substream. Yields ``(live, state)`` for
+    j = 0..J, or until nothing is live: ``live`` marks the states that
+    never left float range and the rows whose truth did not either. A dead
+    state is set to zero, a finite stand-in that is stepped and analysed
+    like any other and read by no one.
     """
     n_noise, n_starts = config.n_noise, starts.shape[0]
     n_trials = n_starts * n_noise
-    estimators = [est for _, _, est in groups]
-    est_index = np.array([estimators.index(est) for est in estimators])
     row_truth = row_trial // n_noise
     row_eps = np.array([eps for _, eps, _ in groups], dtype=float)[row_group, None]
     rngs = [substream(config.seed, "noise", *divmod(t, n_noise)) for t in range(n_trials)]
-    segments = _segments(est_index[row_group])
-    # row_group[::n_trials] names each fixed-gain group once
-    state = np.concatenate(
-        [starts] + [estimators[g].init(n_trials) for g in row_group[::n_trials]]
-    )
+    state = starts
+    if row_group.size:
+        observer = filters.FixedGainObserver.stacked([groups[g][2] for g in row_group])
+        state = np.concatenate([starts, observer.z0])
     live = np.ones(state.shape[0], dtype=bool)
     yield live, state
     for j in range(config.n_steps):
@@ -132,9 +121,7 @@ def _row_steps(config, model, projection, noise, groups, starts, row_group, row_
                 projection.apply(state[:n_starts])[row_truth]
                 + row_eps * chunk[row_trial, j % NOISE_CHUNK]
             )
-            for a, b in segments:
-                rows = slice(n_starts + a, n_starts + b)
-                state[rows] = estimators[row_group[a]].assimilate(state[rows], ys[a:b])
+            state[n_starts:] = observer.assimilate(state[n_starts:], ys)
         yield live, state
 
 
@@ -167,6 +154,7 @@ def run_mse_experiment(config) -> MseReport:
         cfgmod.build_filter_runner(spec, model, projection, noise, init_sampler)
         for spec in config.filters
     ]
+    config.check_memory(model)
     seed, h, n_steps, n_noise = config.seed, config.h, config.n_steps, config.n_noise
     n_starts = config.n_inits
     n_trials = n_starts * n_noise  # trial t pairs start t // n_noise with noise t % n_noise
@@ -274,22 +262,6 @@ def write_report(report: MseReport, path):
             for name in sorted(report.slopes):
                 slope, half = report.slopes[name]
                 fh.write(f"slope[{name}] = {format_float(slope)} +- {format_float(half)}\n")
-
-
-def read_report(path):
-    """Read back the CSV part of a report as a list of MseRow."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["filter", "epsilon", "mse", "stderr", "n_trials", "excluded"]
-        if header != expected:
-            raise ValueError(f"unexpected report header: {header}")
-        for rec in reader:
-            rows.append(
-                MseRow(rec[0], float(rec[1]), float(rec[2]), float(rec[3]), int(rec[4]), int(rec[5]))
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,6 @@ class SpectralGrid:
         unit = kperp / np.sqrt(self.k2_full)[:, None]
         return full[:, None] * unit
 
-    def evaluate_velocity(self, reps_coeffs, points):
-        """Velocity field at physical points, shape (npts, 2) complex."""
-        coeffs = self.velocity_coeffs(reps_coeffs)
-        phases = np.exp(1j * points @ self.kvecs.T)  # (npts, n_full)
-        return phases @ coeffs
-
 
 class SpectralNSModel:
     """Viscous incompressible flow truncated to ``0 < |n|_inf <= k_max``;

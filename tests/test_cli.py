@@ -497,6 +497,43 @@ def test_out_of_range_config_values_exit_one(tmp_path, capsys, case):
     assert f"{key}: " in err and "Traceback" not in err
 
 
+PARTICLE_TINY = TINY.replace("kind = truncated-observer", "kind = particle")
+
+# case -> (subcommand, config text, key named); every size is one no
+# machine could allocate, and each reached numpy's allocator before it
+# was estimated against spectral.MEMORY_BUDGET
+OVERSIZED = {
+    "n_particles": (
+        "mse-table",
+        PARTICLE_TINY.replace("kind = particle", "kind = particle\nn_particles = 10000000000000"),
+        "[filter:trunc] n_particles",
+    ),
+    "T-stored-truths": (
+        "mse-table", PARTICLE_TINY.replace("T = 0.2", "T = 1e13"), "[experiment] t"
+    ),
+    "T-time-averaged": (
+        "mse-table", TINY.replace("T = 0.2", "T = 1e13\nmse_mode = time-averaged"), "[experiment] t"
+    ),
+    "n_inits": ("mse-table", TINY.replace("n_inits = 2", "n_inits = 1000000000000"),
+                "[experiment] n_inits"),
+    "n_samples": (
+        "squeeze-probe", SQUEEZE_TINY.replace("n_samples = 50", "n_samples = 10000000000000"),
+        "[squeeze] n_samples",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_sizes_exit_one_before_allocating(tmp_path, capsys, case):
+    command, text, key = OVERSIZED[case]
+    cfg = write(tmp_path, text.format(out=str(tmp_path / "o.csv")))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"chaosfilter: config error: {key}"), err
+    assert "budget" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_detect_on_an_L_near_float_max_is_a_numerical_failure(tmp_path, capsys):
     # every entry is finite, but the gain search scales its random restarts
     # by max |L_ij| = 1e308, and they would overflow: the input is refused

@@ -369,6 +369,96 @@ def test_assimilate_matches_two_projection_form(d, sigma2, eps, n_rows, seed):
 
 
 # ---------------------------------------------------------------------------
+# stacked observers: one analysis over the rows of many
+
+
+def assert_rows_as_alone(observers, FZ, Y):
+    """Each row of the stacked observer's analysis, and its start, has the
+    bits of its own observer's."""
+    stacked = filters.FixedGainObserver.stacked(observers)
+    Z = stacked.assimilate(FZ, Y)
+    for i, observer in enumerate(observers):
+        assert same_bits(Z[i : i + 1], observer.assimilate(FZ[i : i + 1], Y[i : i + 1])), i
+        assert same_bits(stacked.z0[i], observer.z0), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([3, 60]),
+    epsilons=st.lists(st.sampled_from([1e-3, 0.01, 0.1, 0.5, 2.0]), min_size=1, max_size=3),
+    radius_scales=st.lists(st.sampled_from([1e-3, 0.01, 0.1, 0.5, 1.0]), min_size=1, max_size=3),
+    copies=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_observer_rows_equal_each_observer_alone(d, epsilons, radius_scales, copies, seed):
+    # identity, zero, 3DVAR and truncated observers in a shuffled batch;
+    # the radii are small enough that rows leave the ball, row 0 has a
+    # finite unobserved entry whose V overflows and the last row a nan,
+    # which no observer without a ball spreads to the rest of its row
+    if d == 3:
+        P, model = observation.coordinate_projection(3, [0]), dynamics.lorenz63()
+    else:
+        P, model = observation.every_third_unobserved(d), dynamics.lorenz96(d)
+    gamma = noise_gamma(observation.GaussianObservedNoise(P), P)
+    vnorm = filters.VNorm.euclidean_plus_observed(P)
+    radius = filters.default_ball_radius(model, vnorm)
+    identity, zero = filters.Gain.identity_on_observed(P), filters.Gain.zero()
+    rng = np.random.default_rng(seed)
+    observers = [filters.FixedGainObserver(P, identity, rng.standard_normal(d)),
+                 filters.FixedGainObserver(P, zero, np.zeros(d))]
+    observers += [filters.ThreeDVar(0.5, P, gamma, np.zeros(d)).at_eps(eps) for eps in epsilons]
+    observers += [
+        filters.FixedGainObserver(P, gain, np.zeros(d), vnorm=vnorm, radius=scale * radius)
+        for scale in radius_scales for gain in (identity, zero)
+    ]
+    observers = [observers[k] for k in rng.permutation(copies * len(observers)) % len(observers)]
+    FZ = 20.0 * rng.standard_normal((len(observers), d))
+    FZ[0, np.flatnonzero(~P.mask)[0]] = 1e200
+    FZ[-1, -1] = np.nan
+    Y = P.apply(20.0 * rng.standard_normal((len(observers), d)))
+    assert_rows_as_alone(observers, FZ, Y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.integers(1, 40), radius_scale=st.sampled_from([0.01, 0.1, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_spectral_observers_keep_every_complex_bit(n_rows, radius_scale, seed):
+    # unweighted complex rows stay unweighted: a complex product by a
+    # weight of one would turn complex(-0.0, -1.0) into 0-1j
+    grid = SpectralGrid(3)
+    P = observation.fourier_cutoff(grid, 2.0)
+    vnorm = filters.VNorm.h1(grid)
+    identity = filters.Gain.identity_on_observed(P)
+    z0 = np.zeros(grid.n_reps, dtype=complex)
+    kinds = [filters.FixedGainObserver(P, identity, z0),
+             filters.FixedGainObserver(P, identity, z0, vnorm=vnorm, radius=radius_scale)]
+    rng = np.random.default_rng(seed)
+    observers = [kinds[k] for k in rng.integers(0, 2, size=n_rows)]
+    shape = (n_rows, grid.n_reps)
+    FZ = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    FZ[:, ::3] = complex(-0.0, -1.0)
+    Y = P.apply(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert filters.FixedGainObserver.stacked(observers).gain.weights is None
+    assert_rows_as_alone(observers, FZ, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_project_ball_with_a_radius_per_row_equals_row_by_row_calls(n_rows, seed):
+    rng = np.random.default_rng(seed)
+    V = filters.VNorm(rng.uniform(0.1, 5.0, size=4))
+    x = 10.0 * rng.standard_normal((n_rows, 4))
+    x[rng.integers(0, 2, size=n_rows) == 0] = 0.0
+    x[0, 0] = 1e200
+    radii = rng.choice([0.5, 3.0, 20.0, np.inf], size=n_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = filters.project_ball_V(V, radii, x)
+        for i in range(n_rows):
+            assert same_bits(out[i], filters.project_ball_V(V, radii[i], x[i])), i
+
+
+# ---------------------------------------------------------------------------
 # Kalman filter for linear signals
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import tracemalloc
@@ -12,6 +13,7 @@ from chaosfilter.config import ExperimentConfig
 
 # truths, filter rows, squared errors and particle clouds leave float range
 BLOWUP_CFG = os.path.join(os.path.dirname(__file__), "goldens", "l63_blowup.cfg")
+TRUNC_CFG = os.path.join(os.path.dirname(__file__), "goldens", "l63_trunc_3dvar.cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,22 @@ def test_every_used_engine_row_equals_its_filter_run_alone(seed):
                 assert np.isnan(row.mse)
 
 
+def test_every_fixed_gain_row_is_analysed_in_one_call_per_step(monkeypatch):
+    # two truncated observers at different radii and 3DVAR at three eps
+    cfg = cfgmod.load_experiment_config(TRUNC_CFG)
+    calls = []
+    assimilate = filters.FixedGainObserver.assimilate
+
+    def counted(self, FZ, Y):
+        calls.append(FZ.shape[0])
+        return assimilate(self, FZ, Y)
+
+    monkeypatch.setattr(filters.FixedGainObserver, "assimilate", counted)
+    harness.run_mse_experiment(cfg)
+    n_rows = len(cfg.filters) * len(cfg.epsilons) * cfg.n_inits * cfg.n_noise
+    assert calls == [n_rows] * cfg.n_steps
+
+
 def _traced_peak_of_experiment(cfg):
     """Peak traced allocation, in bytes, of one Monte Carlo run."""
     tracemalloc.start()
@@ -276,13 +294,17 @@ def test_report_round_trip(tmp_path):
     report = harness.run_mse_experiment(tiny_config())
     path = tmp_path / "report.csv"
     harness.write_report(report, path)
-    rows = harness.read_report(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["filter", "epsilon", "mse", "stderr", "n_trials", "excluded"]
     assert len(rows) == len(report.rows)
     for got, want in zip(rows, report.rows):
-        assert got.filter_name == want.filter_name
-        assert got.eps == want.eps
-        assert got.mse == want.mse
-        assert got.stderr == want.stderr
+        assert got[0] == want.filter_name
+        assert float(got[1]) == want.eps
+        assert float(got[2]) == want.mse
+        assert float(got[3]) == want.stderr
+        assert float(got[4]) == want.n_used
+        assert float(got[5]) == want.n_excluded
 
 
 def test_report_bytes_stable(tmp_path):

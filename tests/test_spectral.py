@@ -272,13 +272,6 @@ def test_index_of_matches_enumeration(k_max):
             g.index_of(outside)
 
 
-def test_velocity_field_is_real(grid):
-    u = random_state(grid, 0)
-    pts = np.random.default_rng(1).uniform(0, 2 * np.pi, size=(7, 2))
-    vel = grid.evaluate_velocity(u, pts)
-    assert np.abs(vel.imag).max() < 1e-13 * max(1.0, np.abs(vel.real).max())
-
-
 def test_divergence_free_to_rounding(grid):
     u = random_state(grid, 2)
     vc = grid.velocity_coeffs(u)

@@ -78,15 +78,10 @@ def build_parser() -> _Parser:
 
 def _cmd_simulate(args):
     cfg = cfgmod.load_experiment_config(args.config, seed_override=args.seed)
-    model = cfgmod.build_model(cfg.model)
-    projection = cfgmod.build_projection(cfg.observation, model)
-    noise = cfgmod.build_noise(cfg.noise, projection)
-    init_sampler = cfgmod.build_init_sampler(cfg.model, model)
+    model, projection, *_ = parts = cfgmod.build_parts(cfg)
     eps = cfg.epsilons[0]
     rng = observation.substream(cfg.seed, "simulate")
-    steps = observation.truth_and_observation_steps(
-        model, projection, noise, init_sampler, eps, cfg.n_steps, cfg.h, rng
-    )
+    steps = observation.truth_and_observation_steps(*parts, eps, cfg.n_steps, cfg.h, rng)
     prefix = args.out or os.path.splitext(cfg.out_path)[0]
     truth_path = f"{prefix}_truth.csv"
     obs_path = f"{prefix}_observations.csv"
@@ -141,10 +136,7 @@ def _cmd_filter(args):
     cfg = cfgmod.load_experiment_config(args.config, seed_override=args.seed)
     if len(cfg.filters) != 1:
         raise ConfigError("the filter subcommand needs exactly one [filter:...] section")
-    model = cfgmod.build_model(cfg.model)
-    projection = cfgmod.build_projection(cfg.observation, model)
-    noise = cfgmod.build_noise(cfg.noise, projection)
-    init_sampler = cfgmod.build_init_sampler(cfg.model, model)
+    model, projection, *_ = parts = cfgmod.build_parts(cfg)
     obs = _read_data(
         lambda path: observation.import_observations(path, model.dim), args.obs, "observation"
     )
@@ -167,9 +159,7 @@ def _cmd_filter(args):
     # as it is produced
     with observation.outputs_on_success(out) as (out_tmp,):
         try:
-            runner = cfgmod.build_filter_runner(
-                cfg.filters[0], model, projection, noise, init_sampler
-            )
+            runner = cfgmod.build_filter_runner(cfg.filters[0], *parts)
             try:
                 estimator = runner.at_eps(obs.eps)
             except ValueError as exc:  # a particle filter on a noise-free file
@@ -236,9 +226,8 @@ def _detectability_lines(L, P, budget):
 
 
 def _cmd_detect(args):
-    parser = cfgmod.read_config_file(args.config)
-    linear = dict(parser.items("linear")) if parser.has_section("linear") else {}
-    sec = cfgmod.typed("linear", linear)  # without the section, the required L is named
+    # without the section, the required L is named
+    sec = cfgmod.typed("linear", cfgmod.read_config_file(args.config).get("linear", {}))
     L = sec["l"]
     d = L.shape[0]
     if L.shape != (d, d):
@@ -258,10 +247,11 @@ def _cmd_detect(args):
         raise ConfigError("[linear] must define 'p' or 'observed'")
 
     try:
-        lines, verdict, result = _detectability_lines(L, P, sec["budget"])
-    except (np.linalg.LinAlgError, OverflowError) as exc:
         # L is finite, but the analysis can leave float range: the gain
         # search scales its random restarts by max |L_ij|
+        with np.errstate(over="raise", invalid="raise"):
+            lines, verdict, result = _detectability_lines(L, P, sec["budget"])
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         raise FilterNumericsError(f"[linear] L: the analysis left float range: {exc}") from exc
     print("\n".join(lines))
     if args.out:
@@ -272,22 +262,28 @@ def _cmd_detect(args):
 
 
 def _cmd_squeeze_probe(args):
-    parser = cfgmod.read_config_file(args.config)
-    model_spec = dict(parser.items("model")) if parser.has_section("model") else {}
-    obs_spec = dict(parser.items("observation")) if parser.has_section("observation") else {}
-    if not parser.has_section("squeeze"):
+    sections = cfgmod.read_config_file(args.config)
+    if "squeeze" not in sections:
         raise ConfigError("squeeze-probe needs a [squeeze] section")
-    sec = cfgmod.typed("squeeze", dict(parser.items("squeeze")))
+    sec = cfgmod.typed("squeeze", sections["squeeze"])
     # the sampled ratios of one radius pair, a float each
     cfgmod.within_budget("[squeeze] n_samples", f"the ratios of {sec['n_samples']} samples",
                          8 * sec["n_samples"])
-    model = cfgmod.build_model(model_spec)
-    projection = cfgmod.build_projection(obs_spec, model)
+    model = cfgmod.build_model(sections.get("model", {}))
+    projection = cfgmod.build_projection(sections.get("observation", {}), model)
     vnorm = cfgmod.default_vnorm(model, projection)
     gain = filters.Gain.identity_on_observed(projection)
     r = absorbing_radius(model)
     R = filters.default_ball_radius(model, vnorm)
     r_pairs = [(s * r, s * R) for s in sec["scales"]]
+    # outside it a squared distance of two points of the balls, V(v - u),
+    # leaves the normal floats, underflows to 0 or overflows, and the
+    # ratio is nan
+    low, high = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
+    for s, pair in zip(sec["scales"], r_pairs):
+        if not low <= min(pair) <= max(pair) <= high:
+            raise ConfigError(f"[squeeze] scales: {s:g} gives ball radii {pair[0]:.3g} and "
+                              f"{pair[1]:.3g}, outside [{low:.3g}, {high:.3g}]")
     rng = observation.substream(sec["seed"] if args.seed is None else args.seed, "squeeze")
     entries = harness.empirical_squeezing(
         model, gain, vnorm, sec["h"], r_pairs, sec["n_samples"], rng,
@@ -308,32 +304,35 @@ def _cmd_squeeze_probe(args):
 
 def _cmd_ns_demo(args):
     cfg = cfgmod.load_experiment_config(args.config, seed_override=args.seed)
-    model = cfgmod.build_model(cfg.model)
     if cfgmod.typed("model", cfg.model)["kind"] != "navier-stokes":
         raise ConfigError("ns-demo expects a navier-stokes model")
-    projection = cfgmod.build_projection(cfg.observation, model)
-    noise = cfgmod.build_noise(cfg.noise, projection)
-    init_sampler = cfgmod.build_init_sampler(cfg.model, model)
-    eps = cfg.epsilons[0]
+    model, projection, *_ = parts = cfgmod.build_parts(cfg)
+    eps, n_steps = cfg.epsilons[0], cfg.n_steps
     rng = observation.substream(cfg.seed, "ns-demo")
-    truth, obs = observation.generate_truth_and_observations(
-        model, projection, noise, init_sampler, eps, cfg.n_steps, cfg.h, rng
-    )
-    observer = cfgmod.build_filter_runner(
-        {"kind": "truncated-observer"}, model, projection, noise, init_sampler
-    )
-    run = filters.run_observer(model, observer, obs, truth=truth)
-    errs = run.sq_errors
-    quarters = [errs[int(q * cfg.n_steps)] for q in (0.25, 0.5, 0.75, 1.0)]
+    steps = observation.truth_and_observation_steps(*parts, eps, n_steps, cfg.h, rng)
+    observer = cfgmod.build_filter_runner({"kind": "truncated-observer"}, *parts)
+    # the squared errors at 0 and at each quarter of T are all that is kept
+    quarters = (0.25, 0.5, 0.75, 1.0)
+    marked = {0, *(int(q * n_steps) for q in quarters)}
+    errs = {}
+    out = args.out or cfg.out_path
+    with observation.outputs_on_success(out) as (out_tmp,), open(out_tmp, "w", newline="") as fh:
+        z = observer.z0[None]
+        table = observation.TableWriter(fh, "m", z, ["sq_error"])
+        for j, (v, y) in enumerate(steps):
+            if j:
+                z = observer.assimilate(model.step_batch(z, cfg.h), y[None])
+            err = model.error_norm.row_values(v - z[0])
+            table.write(j, z[0], err)
+            if j in marked:
+                errs[j] = err
     print(
         f"spectral demo: {model.name}, cutoff keeps {projection.n_retained} modes, "
-        f"eps={eps:g}, {cfg.n_steps} steps"
+        f"eps={eps:g}, {n_steps} steps"
     )
     print(f"initial squared error: {errs[0]:.6g}")
-    for q, e in zip((0.25, 0.5, 0.75, 1.0), quarters):
-        print(f"squared error at {q:.2f} T: {e:.6g}")
-    out = args.out or cfg.out_path
-    filters.export_filter_run(run, out)
+    for q in quarters:
+        print(f"squared error at {q:.2f} T: {errs[int(q * n_steps)]:.6g}")
     print(f"wrote {out}")
     return 0
 

@@ -99,8 +99,9 @@ SCHEMA = {
         },
     },
     "experiment": {None: {
-        "epsilons": (_floats, REQUIRED, lambda v: len(v) > 0 and all(0 <= e < np.inf for e in v),
-                     "need at least one noise strength, each nonnegative and finite"),
+        "epsilons": (_floats, REQUIRED,
+                     lambda v: len(set(v)) == len(v) > 0 and all(0 <= e < np.inf for e in v),
+                     "need at least one noise strength, each nonnegative, finite and distinct"),
         "h": (float, REQUIRED, *_POSITIVE),
         "t": (float, REQUIRED, *_POSITIVE),  # T: configparser lowercases keys
         "n_inits": (int, 1, *_at_least(1)),
@@ -275,11 +276,17 @@ def build_model(spec):
                   spectral.model_bytes(k_max))
     if max(map(abs, mode)) > k_max:
         raise ConfigError(f"[model] forcing_mode: need |n1|, |n2| <= k_max = {k_max}, got {mode}")
-    return spectral.navier_stokes_spectral(
+    model = spectral.navier_stokes_spectral(
         m["viscosity"], {tuple(mode): complex(m["forcing_amplitude"])}, k_max,
         period=m["period"], substeps=substeps or 5,
         init_amplitude=m["init_amplitude"], init_decay=m["init_decay"],
     )
+    # the truncation ball and the squeeze probe are sized by this radius
+    radius = dynamics.absorbing_radius(model)
+    if not 0 < radius < np.inf:
+        raise ConfigError(f"[model] viscosity and forcing_amplitude: the absorbing ball radius "
+                          f"is {radius:g}, need it positive and finite")
+    return model
 
 
 def build_projection(spec, model):
@@ -313,6 +320,15 @@ def build_noise(spec, projection):
 def build_init_sampler(model_spec, model):
     # build_model read the sampler's keys from model_spec into the model
     return model.init_sampler()
+
+
+def build_parts(cfg):
+    """The signal map, observation operator, noise and initial law of the
+    ExperimentConfig ``cfg``: ``(model, projection, noise, init_sampler)``."""
+    model = build_model(cfg.model)
+    projection = build_projection(cfg.observation, model)
+    noise = build_noise(cfg.noise, projection)
+    return model, projection, noise, build_init_sampler(cfg.model, model)
 
 
 def default_vnorm(model, projection):
@@ -375,9 +391,10 @@ def build_filter_runner(spec, model, projection, noise, init_sampler):
 # file loading
 
 
-def read_config_file(path) -> configparser.ConfigParser:
-    """The parsed INI file at ``path``, with every section read through
-    :func:`typed`, so that even a section the subcommand skips is checked."""
+def read_config_file(path) -> dict:
+    """The sections of the INI file at ``path``, ``{section: {key: text}}``,
+    each read through :func:`typed`, so that even a section the subcommand
+    skips is checked."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -386,14 +403,14 @@ def read_config_file(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    for section in parser.sections():
-        typed(section, dict(parser.items(section)))
-    return parser
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    for name, spec in sections.items():
+        typed(name, spec)
+    return sections
 
 
 def load_experiment_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
-    parser = read_config_file(path)
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    sections = read_config_file(path)
     # an absent section reads as an empty one: its required keys are named
     exp = typed("experiment", sections.get("experiment", {}))
     if seed_override is not None:

@@ -65,7 +65,8 @@ def project_ball_V(vnorm: VNorm, radius, x):
     ``radius`` or, given one radius per row, of its own (an infinite radius
     leaves its row as it is): only the rows whose V norm exceeds their
     radius are rescaled. A finite row whose V is past float range is sized
-    from the row divided by its largest |entry|."""
+    from the row divided by its largest |entry|; one whose size is past
+    float range even so is sent to 0."""
     if np.any(np.asarray(radius) <= 0):
         raise ValueError("ball radius must be positive")
     x = np.asarray(x)
@@ -77,7 +78,8 @@ def project_ball_V(vnorm: VNorm, radius, x):
     if outside.any():
         huge = np.isinf(sizes) & np.isfinite(x).all(axis=1)
         top = np.abs(x[huge]).max(axis=1, keepdims=True)
-        sizes[huge] = top[:, 0] * np.sqrt(vnorm.row_values(x[huge] / top))
+        with np.errstate(over="ignore"):
+            sizes[huge] = top[:, 0] * np.sqrt(vnorm.row_values(x[huge] / top))
         # only the rows outside are divided: a zero row has size 0
         radius = np.broadcast_to(radius, sizes.shape)[outside]
         out[outside] = x[outside] * (radius / sizes[outside])[:, None]
@@ -457,7 +459,9 @@ class ParticleFilter:
             particles = model.step_batch(particles, h)
             if jitter > 0:
                 rng.standard_normal(out=jitter_draws)
-                jitter_draws *= jitter
+                # a particle past float range gets weight 0
+                with np.errstate(over="ignore"):
+                    jitter_draws *= jitter
                 particles += jitter_draws
             logw = logw + noise.log_density(observations.ys[j][obs] - particles[:, obs], eps)
             shift = logw.max()

@@ -117,10 +117,11 @@ def _row_steps(config, model, projection, noise, groups, starts, row_group, row_
         if row_group.size:
             if j % NOISE_CHUNK == 0:
                 chunk = np.stack([noise.sample(rng, NOISE_CHUNK) for rng in rngs])
-            ys = (
-                projection.apply(state[:n_starts])[row_truth]
-                + row_eps * chunk[row_trial, j % NOISE_CHUNK]
-            )
+            with np.errstate(over="ignore"):  # a row past float range dies at its next step
+                ys = (
+                    projection.apply(state[:n_starts])[row_truth]
+                    + row_eps * chunk[row_trial, j % NOISE_CHUNK]
+                )
             state[n_starts:] = observer.assimilate(state[n_starts:], ys)
         yield live, state
 
@@ -146,14 +147,8 @@ def run_mse_experiment(config) -> MseReport:
     """
     from . import config as cfgmod
 
-    model = cfgmod.build_model(config.model)
-    projection = cfgmod.build_projection(config.observation, model)
-    noise = cfgmod.build_noise(config.noise, projection)
-    init_sampler = cfgmod.build_init_sampler(config.model, model)
-    runners = [
-        cfgmod.build_filter_runner(spec, model, projection, noise, init_sampler)
-        for spec in config.filters
-    ]
+    model, projection, noise, init_sampler = parts = cfgmod.build_parts(config)
+    runners = [cfgmod.build_filter_runner(spec, *parts) for spec in config.filters]
     config.check_memory(model)
     seed, h, n_steps, n_noise = config.seed, config.h, config.n_steps, config.n_noise
     n_starts = config.n_inits

@@ -11,7 +11,6 @@ construction, so importing the package (and every subcommand but
 ``detect``) does not load it.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,30 +110,20 @@ def find_gain(L, P, budget=20) -> GainSearchResult:
     """Search for D minimizing rho(L - D P).
 
     Deterministic coordinate descent from D = 0, then up to ``budget``
-    seeded random restarts, N(0, 1) entries scaled by max |L_ij|, which
-    raise OverflowError before the search starts if they would leave float
-    range. Success means a gain with spectral radius strictly below one was
-    found; failure is inconclusive (the rank test is the authority on
-    impossibility).
+    seeded random restarts, N(0, 1) entries scaled by max |L_ij|. Success
+    means a gain with spectral radius strictly below one was found; failure
+    is inconclusive (the rank test is the authority on impossibility).
     """
     L = np.asarray(L, dtype=float)
     P = np.atleast_2d(np.asarray(P, dtype=float))
     d, p = L.shape[0], P.shape[0]
     scale = max(1.0, float(np.max(np.abs(L))))
-
-    def draws():
-        rng = np.random.default_rng(0)
-        for _ in range(int(budget)):
-            yield rng.standard_normal((d, p))
-
-    # a Python float product overflows to inf without a numpy warning
-    if any(math.isinf(scale * float(np.max(np.abs(z)))) for z in draws()):
-        raise OverflowError(f"random restarts scaled by max |L_ij| = {scale:.6g} overflow")
+    rng = np.random.default_rng(0)
     best_D, best_rho = _coordinate_descent(L, P, np.zeros((d, p)))
-    for z in draws():
+    for _ in range(int(budget)):
         if best_rho < 1.0 - 1e-9:
             break
-        D, rho = _coordinate_descent(L, P, scale * z)
+        D, rho = _coordinate_descent(L, P, scale * rng.standard_normal((d, p)))
         if rho < best_rho:
             best_D, best_rho = D, rho
     return GainSearchResult(bool(best_rho < 1.0), best_D, float(best_rho))

@@ -214,15 +214,19 @@ def standard_normal_init(dim):
 
 
 def spectral_smooth_init(grid, amplitude=1.0, decay=2.0):
-    """Random smooth field: mode k gets complex N(0, (amplitude/|k|^decay)^2)."""
+    """Random smooth field: mode k gets complex N(0, (amplitude/|k|^decay)^2).
 
-    weights = amplitude / np.sqrt(grid.k2_reps) ** decay
+    A draw past float range holds inf or nan, a state no model steps."""
+
+    with np.errstate(all="ignore"):
+        weights = amplitude / np.sqrt(grid.k2_reps) ** decay
 
     def sampler(rng, size=None):
         n = 1 if size is None else size
         re = rng.standard_normal((n, grid.n_reps))
         im = rng.standard_normal((n, grid.n_reps))
-        out = weights * (re + 1j * im) / np.sqrt(2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = weights * (re + 1j * im) / np.sqrt(2.0)
         return out[0] if size is None else out
 
     return sampler

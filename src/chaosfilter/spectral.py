@@ -140,7 +140,9 @@ class SpectralNSModel:
         # slowest dissipation rate in the truncated space
         self.theta = self.nu * grid.scale**2
         fnorm = np.sqrt(self.error_norm.row_values(self.forcing))
-        self.r0 = (fnorm / self.theta) ** 2
+        # 0, inf or nan past float range: config.build_model refuses those
+        with np.errstate(all="ignore"):
+            self.r0 = (fnorm / self.theta) ** 2
 
     def init_sampler(self):
         return spectral_smooth_init(self.grid, self.init_amplitude, self.init_decay)

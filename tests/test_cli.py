@@ -128,21 +128,18 @@ def _perfbench_workloads():
 def _build_everything(path):
     """Read every section of the config at ``path`` through the schema and
     build what each subcommand would build from it."""
-    parser = cfgmod.read_config_file(path)
-    if parser.has_section("experiment"):
+    sections = cfgmod.read_config_file(path)
+    if "experiment" in sections:
         cfg = load_experiment_config(path)
-        model = cfgmod.build_model(cfg.model)
-        projection = cfgmod.build_projection(cfg.observation, model)
-        noise = cfgmod.build_noise(cfg.noise, projection)
-        init_sampler = cfgmod.build_init_sampler(cfg.model, model)
+        parts = cfgmod.build_parts(cfg)
         for spec in cfg.filters:
-            cfgmod.build_filter_runner(spec, model, projection, noise, init_sampler)
-    if parser.has_section("linear"):
-        cfgmod.typed("linear", dict(parser.items("linear")))
-    if parser.has_section("squeeze"):
-        cfgmod.typed("squeeze", dict(parser.items("squeeze")))
-        model = cfgmod.build_model(dict(parser.items("model")))
-        cfgmod.build_projection(dict(parser.items("observation")), model)
+            cfgmod.build_filter_runner(spec, *parts)
+    if "linear" in sections:
+        cfgmod.typed("linear", sections["linear"])
+    if "squeeze" in sections:
+        cfgmod.typed("squeeze", sections["squeeze"])
+        model = cfgmod.build_model(sections["model"])
+        cfgmod.build_projection(sections["observation"], model)
 
 
 @pytest.mark.parametrize(
@@ -450,6 +447,17 @@ OUT_OF_RANGE = {
                            "scales"),
     "squeeze-scales-empty": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales =",
                              "scales"),
+    # V(v - u) of the sampled pairs would underflow to 0, or overflow
+    "squeeze-scales-tiny": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales = 1e-300",
+                            "scales"),
+    "squeeze-scales-huge": ("squeeze-probe", SQUEEZE_TINY, "scales = 0.05", "scales = 1e300",
+                            "scales"),
+    # the absorbing ball radius, |f| / nu (2 pi / period)^2, underflows to 0
+    # or overflows; the message names both keys
+    "viscosity-huge": ("mse-table", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = 1e300",
+                       "forcing_amplitude"),
+    "viscosity-tiny": ("ns-demo", NS_EXPERIMENT, "viscosity = 0.5", "viscosity = 5e-324",
+                       "forcing_amplitude"),
     "T-inf": ("mse-table", TINY, "T = 0.2", "T = inf", "t"),
     # each finite and positive, but T / h overflows
     "T-over-h-overflow": ("mse-table", TINY, "h = 0.01\nT = 0.2", "h = 1e-300\nT = 1e300", "t"),
@@ -459,6 +467,10 @@ OUT_OF_RANGE = {
     "h-inf": ("mse-table", TINY, "h = 0.01", "h = inf", "h"),
     "epsilons-nan": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = nan 0.1", "epsilons"),
     "epsilons-inf": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = inf 0.1", "epsilons"),
+    # the slope fit needs distinct noise strengths, and the report's rows
+    # would repeat
+    "epsilons-repeated": ("mse-table", TINY, "epsilons = 0.5 0.1", "epsilons = 0.1 0.1 0.01",
+                          "epsilons"),
     "seed-negative": ("mse-table", TINY, "seed = 3", "seed = -1", "seed"),
     "radius_scale-negative": (
         "mse-table", TINY, "kind = truncated-observer",
@@ -534,12 +546,11 @@ def test_oversized_sizes_exit_one_before_allocating(tmp_path, capsys, case):
     assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
-def test_detect_on_an_L_near_float_max_is_a_numerical_failure(tmp_path, capsys):
-    # every entry is finite, but the gain search scales its random restarts
-    # by max |L_ij| = 1e308, and they would overflow: the input is refused
-    # before the search starts and before any verdict is printed
+def _assert_detect_fails_numerically(tmp_path, capsys, L, extra):
+    """``detect`` on ``L`` exits 2 with one stderr line naming L, no numpy
+    warning and no output."""
     out = str(tmp_path / "d.txt")
-    cfg = write(tmp_path, DETECT.format(L="1e308 0; 0 1", extra="observed = 0"))
+    cfg = write(tmp_path, DETECT.format(L=L, extra=extra))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["detect", "--config", cfg, "--out", out]) == 2
@@ -550,6 +561,18 @@ def test_detect_on_an_L_near_float_max_is_a_numerical_failure(tmp_path, capsys):
     assert len(lines) == 1 and captured.err.endswith("\n"), captured.err
     assert lines[0].startswith("chaosfilter: numerical failure: [linear] L: "), lines
     assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_detect_on_an_L_near_float_max_is_a_numerical_failure(tmp_path, capsys):
+    # every entry is finite, but the gain search scales its random restarts
+    # by max |L_ij| = 1e308, and they overflow before any verdict is printed
+    _assert_detect_fails_numerically(tmp_path, capsys, "1e308 0; 0 1", "observed = 0")
+
+
+def test_detect_gain_search_past_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # the restarts of a 1x1 map stay in float range, but the line search
+    # they start from steps past it
+    _assert_detect_fails_numerically(tmp_path, capsys, "1e308", "observed = 0\nbudget = 10")
 
 
 # case -> (subcommand, config template, what the message says)
@@ -916,6 +939,19 @@ def test_simulate_and_filter_memory_does_not_grow_with_trajectory_length(tmp_pat
     assert filter_4 - filter_1 <= 300 * 60 * (8 + 1) + 64 * 1024, (filter_1, filter_4)
 
 
+def test_ns_demo_memory_does_not_grow_with_trajectory_length(tmp_path, capsys):
+    # the truth, observations and estimates are streamed, and only the five
+    # printed squared errors are kept
+    text = open(cfg_path("ns_demo.cfg")).read()
+    assert "T = 2\n" in text
+    peaks = []
+    for T in (0.25, 1):  # the first run also loads what a run loads once
+        cfg = write(tmp_path, text.replace("T = 2\n", f"T = {T}\n"))
+        peaks.append(_traced_peak(["ns-demo", "--config", cfg, "--out", str(tmp_path / "o.csv")]))
+    capsys.readouterr()
+    assert peaks[1] < peaks[0] + 128 * 1024, peaks
+
+
 def test_values_at_unobserved_indices_are_rejected(tmp_path, capsys):
     cfg = write(tmp_path, BLOWUP.replace("h = 2", "h = 0.01"), "sim.cfg")
     sim = str(tmp_path / "sim")
@@ -1211,6 +1247,16 @@ def _fresh_python(args, cwd):
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=300,
     )
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    code = (
+        "import sys\nimport chaosfilter\n"
+        "loaded = [m for m in sys.modules if m.startswith(('chaosfilter.', 'numpy'))]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 COLD_PATH = """

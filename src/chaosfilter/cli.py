@@ -108,21 +108,27 @@ def _cmd_simulate(args):
     return 0
 
 
-def _read_data(reader, path, what):
+def _read_data(reader, path, what, *more):
     try:
-        return reader(path)
+        return reader(path, *more)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {exc.filename}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad {what} file: {exc}") from exc
 
 
-def _checked_states(states, n_steps):
-    """The truth states, with a malformed line, or fewer than ``n_steps + 1``
-    states, raised as a ConfigError when the reader reaches it."""
+def _checked_states(path, states, model, n_steps):
+    """The truth states, with a malformed line, a line that is not a finite
+    state of ``model`` (its dimension and dtype), or fewer than
+    ``n_steps + 1`` states, raised as a ConfigError when the reader reaches
+    it."""
     count = 0
     try:
         for count, state in enumerate(states, start=1):
+            finite = np.isfinite(state).all()
+            if state.shape != (model.dim,) or state.dtype != model.dtype or not finite:
+                raise ValueError(f"{path}, line {count + 1}: not a finite {model.dtype} "
+                                 f"state of dimension {model.dim}")
             yield state
     except ValueError as exc:
         raise ConfigError(f"bad truth file: {exc}") from exc
@@ -137,23 +143,20 @@ def _cmd_filter(args):
     if len(cfg.filters) != 1:
         raise ConfigError("the filter subcommand needs exactly one [filter:...] section")
     model, projection, *_ = parts = cfgmod.build_parts(cfg)
-    obs = _read_data(
-        lambda path: observation.import_observations(path, model.dim), args.obs, "observation"
-    )
-    # one unobserved column at a time, so no temporary as large as ys
-    if any(np.any(obs.ys[:, i] != 0) for i in np.flatnonzero(~projection.mask)):
-        raise ConfigError("observation file has values at indices the model does not observe")
-    for token in observation.index_tokens(projection, np.iscomplexobj(obs.ys)):
-        if token not in obs.tokens:
-            raise ConfigError(
-                f"observation file has no rows for index {token!r}, which the model observes"
-            )
+    obs = _read_data(observation.import_observations, args.obs, "observation", projection)
+    if obs.ys.dtype != model.dtype:
+        raise ConfigError(f"bad observation file: {args.obs} holds {obs.ys.dtype} values, "
+                          f"the model's states are {model.dtype}")
+    # the reader keeps every value it reads; the estimators take finite ones
+    finite = np.isfinite(obs.ys).ravel()
+    if not finite.all():
+        j, i = divmod(int(finite.argmin()), model.dim)
+        raise ConfigError(f"bad observation file: {args.obs}: step {j + 1}, index {i}: "
+                          f"the value is not finite")
     truth = None
     if args.truth:
-        dim, states = _read_data(observation.read_truth, args.truth, "truth")
-        if dim != model.dim:
-            raise ConfigError(f"truth file has dimension {dim}, model has {model.dim}")
-        truth = _checked_states(states, obs.n_steps)
+        states = _read_data(observation.read_truth, args.truth, "truth")
+        truth = _checked_states(args.truth, states, model, obs.n_steps)
     out = args.out or cfg.out_path
     # the truth is read in step with the estimator, and each row is written
     # as it is produced

@@ -198,16 +198,17 @@ class ExperimentConfig:
             )
         if not self.filters:
             raise ConfigError("no [filter:...] section configured")
-        if 0 in self.epsilons and any(spec.get("kind") == "particle" for spec in self.filters):
-            raise ConfigError("the particle filter needs a positive noise strength")
 
     @property
     def n_steps(self):
         return int(round(self.T / self.h))
 
-    def check_memory(self, model):
-        """Refuse a run of ``model`` whose arrays would pass the memory
-        budget (see :func:`within_budget`). Each trial holds a noise chunk,
+    def check_run(self, model):
+        """Refuse, before anything is allocated, a Monte Carlo run of
+        ``model`` that runs a particle filter at eps = 0, or whose arrays
+        would pass the memory budget (see :func:`within_budget`). Other
+        subcommands run no filter at the config's epsilons, so the eps rule
+        is the run's, not the config's. Each trial holds a noise chunk,
         drawn and stacked (2 ``NOISE_CHUNK`` states), its substream (under 4
         KiB) and, per fixed-gain row, the state, its start, gain and
         observation rows and the analysis temporaries (16 states; 11-14
@@ -216,9 +217,11 @@ class ExperimentConfig:
         every start's truth is stored at every step."""
         from .harness import NOISE_CHUNK
 
+        particle = [spec.get("kind") == "particle" for spec in self.filters]
+        if 0 in self.epsilons and any(particle):
+            raise ConfigError("the particle filter needs a positive noise strength")
         state = model.dim * model.dtype.itemsize
         n_trials, n_eps = self.n_inits * self.n_noise, len(self.epsilons)
-        particle = [spec.get("kind") == "particle" for spec in self.filters]
         rows = (len(particle) - sum(particle)) * n_eps
         within_budget("[experiment] n_inits and n_noise", f"the rows of {n_trials} trials",
                       n_trials * ((2 * NOISE_CHUNK + 16 * rows) * state + 4096))

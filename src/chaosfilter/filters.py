@@ -65,8 +65,8 @@ def project_ball_V(vnorm: VNorm, radius, x):
     ``radius`` or, given one radius per row, of its own (an infinite radius
     leaves its row as it is): only the rows whose V norm exceeds their
     radius are rescaled. A finite row whose V is past float range is sized
-    from the row divided by its largest |entry|; one whose size is past
-    float range even so is sent to 0."""
+    from the row divided by its largest |entry|, and one whose size is past
+    float range even so is scaled from that quotient."""
     if np.any(np.asarray(radius) <= 0):
         raise ValueError("ball radius must be positive")
     x = np.asarray(x)
@@ -76,13 +76,18 @@ def project_ball_V(vnorm: VNorm, radius, x):
     out = x.copy()
     outside = ~(sizes <= radius) & (radius < np.inf)
     if outside.any():
-        huge = np.isinf(sizes) & np.isfinite(x).all(axis=1)
+        huge = outside & np.isinf(sizes) & np.isfinite(x).all(axis=1)
         top = np.abs(x[huge]).max(axis=1, keepdims=True)
+        unit = x[huge] / top
+        unit_sizes = np.sqrt(vnorm.row_values(unit))
         with np.errstate(over="ignore"):
-            sizes[huge] = top[:, 0] * np.sqrt(vnorm.row_values(x[huge] / top))
+            sizes[huge] = top[:, 0] * unit_sizes
         # only the rows outside are divided: a zero row has size 0
-        radius = np.broadcast_to(radius, sizes.shape)[outside]
-        out[outside] = x[outside] * (radius / sizes[outside])[:, None]
+        radius = np.broadcast_to(radius, sizes.shape)
+        out[outside] = x[outside] * (radius[outside] / sizes[outside])[:, None]
+        # a row whose size is past float range even so
+        far = np.isinf(sizes[huge])
+        out[np.flatnonzero(huge)[far]] = unit[far] * (radius[huge][far] / unit_sizes[far])[:, None]
     return out
 
 
@@ -231,7 +236,6 @@ class FilterStep(NamedTuple):
 class FilterRun:
     """Per-step output of one estimator on one observation sequence."""
 
-    kind: str
     estimates: np.ndarray
     sq_errors: Optional[np.ndarray] = None
     ess: Optional[np.ndarray] = None
@@ -251,7 +255,7 @@ def scored_steps(norm: VNorm, steps, truth=None):
         yield step, norm.row_values(state - step.estimate)
 
 
-def collect_run(norm: VNorm, kind, steps, n_steps, truth=None) -> FilterRun:
+def collect_run(norm: VNorm, steps, n_steps, truth=None) -> FilterRun:
     """The :class:`FilterRun` of an estimator's ``steps`` j = 0..n_steps,
     each stored into its row of preallocated arrays as it comes, with its
     squared error in ``norm`` when ``truth`` is given."""
@@ -259,7 +263,7 @@ def collect_run(norm: VNorm, kind, steps, n_steps, truth=None) -> FilterRun:
     for j, (step, sq_error) in enumerate(scored_steps(norm, steps, truth)):
         if run is None:
             shape, dtype = (n_steps + 1,) + step.estimate.shape, step.estimate.dtype
-            run = FilterRun(kind=kind, estimates=np.empty(shape, dtype=dtype))
+            run = FilterRun(estimates=np.empty(shape, dtype=dtype))
             if truth is not None:
                 run.sq_errors = np.empty(n_steps + 1)
             if step.ess is not None:
@@ -285,7 +289,7 @@ def collect_run(norm: VNorm, kind, steps, n_steps, truth=None) -> FilterRun:
 def run_observer(model, observer: FixedGainObserver, observations, truth=None) -> FilterRun:
     """Drive a fixed-gain observer through an observation sequence."""
     steps = observer.steps(model, observations)
-    return collect_run(model.error_norm, observer.kind, steps, observations.n_steps, truth)
+    return collect_run(model.error_norm, steps, observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +369,7 @@ def run_kalman(L, projection, gamma, eps, mean0, cov0, observations, truth=None)
             mean, cov = kalman_filter_step(L, projection, gamma, eps, mean, cov, y)
             yield FilterStep(mean, post_trace=np.trace(cov))
 
-    return collect_run(VNorm(np.ones(len(L))), "kalman", steps(), observations.n_steps, truth)
+    return collect_run(VNorm(np.ones(len(L))), steps(), observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +490,7 @@ class ParticleFilter:
 def particle_filter(model, pf: ParticleFilter, observations, rng, truth=None) -> FilterRun:
     """Drive a particle filter through an observation sequence."""
     steps = pf.steps(model, observations, rng)
-    return collect_run(model.error_norm, pf.kind, steps, observations.n_steps, truth)
+    return collect_run(model.error_norm, steps, observations.n_steps, truth)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def run_mse_experiment(config) -> MseReport:
 
     model, projection, noise, init_sampler = parts = cfgmod.build_parts(config)
     runners = [cfgmod.build_filter_runner(spec, *parts) for spec in config.filters]
-    config.check_memory(model)
+    config.check_run(model)
     seed, h, n_steps, n_noise = config.seed, config.h, config.n_steps, config.n_noise
     n_starts = config.n_inits
     n_trials = n_starts * n_noise  # trial t pairs start t // n_noise with noise t % n_noise

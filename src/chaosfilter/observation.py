@@ -42,8 +42,7 @@ def substream(master_seed, *parts) -> np.random.Generator:
 class CoordinateProjection:
     """Masks a real state vector down to a fixed set of observed coordinates."""
 
-    def __init__(self, dim, observed, kind="coordinate-mask"):
-        self.kind = kind
+    def __init__(self, dim, observed):
         self.dim = int(dim)
         observed = np.asarray(observed, dtype=int).ravel()
         # sorted distinct indices; np.unique would import numpy.ma (about 15 ms)
@@ -82,13 +81,11 @@ def every_third_unobserved(d) -> CoordinateProjection:
     if d % 3 != 0 or d < 3:
         raise ValueError(f"dimension must be a positive multiple of 3, got {d}")
     observed = [i for i in range(d) if (i + 1) % 3 != 0]
-    return CoordinateProjection(d, observed, kind="every-third-unobserved")
+    return CoordinateProjection(d, observed)
 
 
 class FourierCutoff:
     """Retains spectral modes with |k|^2 <= lam; drops the rest."""
-
-    kind = "fourier-cutoff"
 
     def __init__(self, grid, lam):
         self.grid = grid
@@ -130,7 +127,6 @@ class GaussianObservedNoise:
 
     def __init__(self, projection: CoordinateProjection, per_coordinate=False):
         self.projection = projection
-        self.per_coordinate = bool(per_coordinate)
         var = 1.0 if per_coordinate else 1.0 / projection.n_observed
         self.std = float(np.sqrt(var))
 
@@ -189,13 +185,15 @@ class SpectralModeNoise:
     def log_density(self, r, eps):
         """Log density at noise level eps of residuals on the retained
         modes: one row of the projection's ``observed`` entries, or a batch
-        of them."""
+        of them.
+
+        Residuals, or variances eps^2 / (|k|^2 n(lam)), beyond float range
+        give -inf or nan (a zero weight)."""
         r = np.atleast_2d(np.asarray(r, dtype=np.complex128))
-        var = (eps**2) * self.mode_var
-        out = -np.sum(np.abs(r) ** 2 / var, axis=1) - np.sum(
-            np.log(np.pi * var)
-        )
-        return out
+        # numpy's square of eps is Python's, bit for bit, but saturates to inf
+        with np.errstate(all="ignore"):
+            var = (np.float64(eps) ** 2) * self.mode_var
+            return -np.sum(np.abs(r) ** 2 / var, axis=1) - np.sum(np.log(np.pi * var))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +236,12 @@ def spectral_smooth_init(grid, amplitude=1.0, decay=2.0):
 
 @dataclass
 class ObservationSequence:
-    """Observations y_1..y_J (row i holds y_{i+1}); Q y_j = 0 throughout.
-
-    ``tokens`` holds the index tokens (see :func:`index_tokens`) that an
-    observation file carries at every step; it is empty for a generated
-    sequence."""
+    """Observations y_1..y_J (row i holds y_{i+1}); Q y_j = 0 throughout."""
 
     eps: float
     h: float
     ys: np.ndarray
     seed_label: str = ""
-    tokens: frozenset = frozenset()
 
     @property
     def n_steps(self):
@@ -375,9 +368,12 @@ def write_table(path, prefix, values, extra=()):
 
 
 def index_tokens(projection, is_complex):
-    """The index tokens of the observed coordinates: ``3``, or ``3r`` and
-    ``3i`` for complex modes."""
-    return [f"{idx}{p}" for idx in projection.observed for p in _parts(is_complex)]
+    """The index tokens of the observed coordinates, ``3``, or ``3r`` and
+    ``3i`` for complex modes, in order, each mapped to its column in a
+    row's float view (a Python int, which indexes faster than numpy's)."""
+    parts = _parts(is_complex)
+    return {f"{idx}{part}": idx * len(parts) + k
+            for idx in projection.observed.tolist() for k, part in enumerate(parts)}
 
 
 class ObservationWriter:
@@ -434,20 +430,22 @@ def _positive_int(path, meta, key):
     return value
 
 
-def import_observations(path, dim=None) -> ObservationSequence:
-    """Read back a sequence written by :func:`export_observations`.
+def import_observations(path, projection) -> ObservationSequence:
+    """Read back a sequence that :func:`export_observations` wrote with
+    ``projection``.
 
     Raises ValueError, before any array is allocated, on a ``.meta`` file
     missing a required key, whose n_steps or dim is not a positive integer,
-    whose n_steps exceeds the steps the file's size can hold, whose dim
-    differs from ``dim`` when given, or whose eps is negative or not finite
-    or whose h is not positive and finite. Then raises ValueError on a row
-    that is not three fields of step, index token and number, on a
-    malformed index token (an ``r``/``i`` suffix in a real file, or none in
-    a complex one), on a step or index outside the ranges the ``.meta`` file
-    declares, on a row that repeats an earlier one's step and index, and on
-    a step that lacks an index token the file carries at other steps. The
-    rows may come in any order.
+    whose n_steps exceeds the steps the file's size can hold, whose dim is
+    not the projection's, or whose eps is negative or not finite or whose h
+    is not positive and finite. Then raises ValueError on a row that is not
+    three fields of step, index token and number, on a malformed index
+    token (an ``r``/``i`` suffix in a real file, or none in a complex one),
+    on a step or index outside the ranges the ``.meta`` file declares, on a
+    row that repeats an earlier one's step and observed index, on a nonzero
+    value at an index the projection does not observe, and on a step that
+    lacks a row for an observed index. A row of an unobserved index that
+    holds 0 is ignored. The rows may come in any order.
     """
     meta = {}
     with open(str(path) + ".meta") as fh:
@@ -463,10 +461,9 @@ def import_observations(path, dim=None) -> ObservationSequence:
     most = os.path.getsize(path) // 6
     if n_steps > most:
         raise ValueError(f"{path}.meta: n_steps is {n_steps}, the file can hold {most} at most")
-    file_dim = _positive_int(path, meta, "dim")
-    if dim is not None and file_dim != dim:
-        raise ValueError(f"{path}.meta: dim is {file_dim}, the model has {dim}")
-    dim = file_dim
+    dim = _positive_int(path, meta, "dim")
+    if dim != projection.dim:
+        raise ValueError(f"{path}.meta: dim is {dim}, the model has {projection.dim}")
     eps, h = float(meta["eps"]), float(meta["h"])
     if not 0 <= eps < np.inf:
         raise ValueError(f"{path}.meta: eps must be nonnegative and finite, got {meta['eps']!r}")
@@ -475,14 +472,15 @@ def import_observations(path, dim=None) -> ObservationSequence:
     is_complex = meta.get("complex", "0") == "1"
     n_parts = 2 if is_complex else 1
     width = n_parts * dim
+    columns = index_tokens(projection, is_complex)
     ys = np.zeros((n_steps, dim), dtype=np.complex128 if is_complex else np.float64)
     # Row (j, index, part) lands at (j - 1) * width + index * n_parts + part
     # of a flat float view of ys: values are stored, never added, so signed
-    # zeros survive. A token's column is checked once, on the first line
-    # that uses it.
+    # zeros survive. Only the observed columns start out not yet seen.
     flat = memoryview(ys.view(np.float64).reshape(-1))
-    seen = bytearray(n_steps * width)
-    columns = {}
+    seen = bytearray(b"\1") * (n_steps * width)
+    for col in columns.values():
+        seen[col::width] = bytes(n_steps)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -494,39 +492,33 @@ def import_observations(path, dim=None) -> ObservationSequence:
                 j, value = int(j), float(value)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {line}: {exc}") from None
-            col = columns.get(token)
-            if col is None:
-                part = token[-1:] if token[-1:] in ("r", "i") else ""
-                idx = token[: len(token) - len(part)]
-                if not idx.isdigit() or bool(part) != is_complex:
-                    raise ValueError(f"{path}, line {line}: bad index token {token!r}")
-                idx = int(idx)
-                if not 0 <= idx < dim:
-                    raise ValueError(f"{path}, line {line}: index {idx} outside [0, {dim})")
-                col = columns[token] = idx * n_parts + (part == "i")
             if not 1 <= j <= n_steps:
                 raise ValueError(f"{path}, line {line}: step {j} outside 1..{n_steps}")
+            col = columns.get(token)
+            if col is None:  # an unobserved index, whose rows must hold 0
+                part = token[-1:] if token[-1:] in ("r", "i") else ""
+                idx = token[: len(token) - len(part)]
+                if not (idx.isascii() and idx.isdigit()) or bool(part) != is_complex:
+                    raise ValueError(f"{path}, line {line}: bad index token {token!r}")
+                idx = int(idx)
+                if idx >= dim:
+                    raise ValueError(f"{path}, line {line}: index {idx} outside [0, {dim})")
+                if projection.mask[idx]:  # an observed index spelt another way, "03"
+                    raise ValueError(f"{path}, line {line}: bad index token {token!r}")
+                if value != 0:
+                    raise ValueError(f"{path}, line {line}: {row[2]} at index {token!r}, but "
+                                     f"values at indices the model does not observe must be 0")
+                continue
             k = (j - 1) * width + col
             if seen[k]:
                 raise ValueError(f"{path}, line {line}: step {j}, index {token!r} given twice")
             seen[k] = 1
             flat[k] = value
-    # (step, column, token) of each carried token's first step without a row
-    gaps = [
-        (gap + 1, col, token)
-        for token, col in columns.items()
-        if (gap := seen[col::width].find(0)) >= 0
-    ]
-    if gaps:
-        j, _, token = min(gaps)
-        raise ValueError(f"{path}: step {j} has no row for index {token!r}")
-    return ObservationSequence(
-        eps=eps,
-        h=h,
-        ys=ys,
-        seed_label=meta.get("seed_label", ""),
-        tokens=frozenset(columns),
-    )
+    gap = seen.find(0)
+    if gap >= 0:
+        token = next(token for token, col in columns.items() if col == gap % width)
+        raise ValueError(f"{path}: step {gap // width + 1} has no row for index {token!r}")
+    return ObservationSequence(eps=eps, h=h, ys=ys, seed_label=meta.get("seed_label", ""))
 
 
 def export_truth(truth, path):
@@ -537,29 +529,27 @@ def export_truth(truth, path):
 def read_truth(path):
     """Open a trajectory written by :func:`export_truth`.
 
-    Returns its state dimension and an iterator over its states, each line
-    parsed with ``float`` into a float64 row when the iterator reaches it,
-    bit for bit; the r/i column pairs of a complex file are viewed as
-    complex128. The header is read here; the iterator closes the file at
-    its end. Raises ValueError on a header without state columns; the
+    Returns an iterator over its states, each line parsed with ``float``
+    into a float64 row when the iterator reaches it, bit for bit; the r/i
+    column pairs of a complex file are viewed as complex128. The header is
+    read here; the iterator opens the file again when it starts and closes
+    it at its end. Raises ValueError on a header without state columns; the
     iterator raises ValueError naming the line on a row whose field count
     differs from the header's or that holds a bad number, and at the end of
     a file that holds no states.
     """
-    fh = open(path)
-    try:
+    with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        width = len(header) - 1
-        if width < 1:
-            raise ValueError(f"{path} holds no states")
-    except BaseException:
-        fh.close()
-        raise
+    width = len(header) - 1
+    if width < 1:
+        raise ValueError(f"{path} holds no states")
     is_complex = header[-1].endswith("i")
 
     def states():
         line = 1
-        with fh:
+        # opened again once iterated, so an iterator never started holds no file
+        with open(path) as fh:
+            next(fh, None)
             for line, text in enumerate(fh, start=2):
                 fields = text.rstrip("\n").split(",")
                 if len(fields) != width + 1:
@@ -575,12 +565,12 @@ def read_truth(path):
         if line == 1:
             raise ValueError(f"{path} holds no states")
 
-    return (width // 2 if is_complex else width), states()
+    return states()
 
 
 def import_truth(path):
     """Read back a whole trajectory written by :func:`export_truth`, bit
     for bit, as one array; raises ValueError as :func:`read_truth` does."""
-    dim, states = read_truth(path)
+    states = read_truth(path)
     first = next(states)
-    return np.fromiter(itertools.chain([first], states), dtype=(first.dtype, dim))
+    return np.fromiter(itertools.chain([first], states), dtype=(first.dtype, first.size))

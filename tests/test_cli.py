@@ -745,6 +745,42 @@ def _set_meta(key, value):
     return corrupt
 
 
+def _set_first_value(token):
+    def corrupt(obs, truth):
+        lines = open(obs).readlines()
+        j, index, _ = lines[1].split(",")
+        lines[1] = f"{j},{index},{token}\n"
+        open(obs, "w").writelines(lines)
+    return corrupt
+
+
+def _complex_observations(obs, truth):
+    # each real row as the real part of a complex one, with a zero imaginary part
+    lines = open(obs).read().splitlines()
+    rows = [row.split(",") for row in lines[1:]]
+    open(obs, "w").write("\n".join(lines[:1] + [
+        f"{j},{index}{part},{value if part == 'r' else 0}" for j, index, value in rows
+        for part in "ri"
+    ]) + "\n")
+    _set_meta("complex", "1")(obs, truth)
+
+
+def _complex_truth(obs, truth):
+    # as many complex states as real ones: each state gains a zero column per site
+    header, *rows = open(truth).read().splitlines()
+    n = len(header.split(",")) - 1
+    columns = ",".join(f"v{i}{part}" for i in range(n) for part in "ri")
+    open(truth, "w").write("\n".join([f"j,{columns}"] + [row + ",0" * n for row in rows]) + "\n")
+
+
+def _set_truth_entry(token):
+    def corrupt(obs, truth):
+        lines = open(truth).readlines()
+        lines[5] = lines[5].split(",", 1)[0] + f",{token}," + lines[5].split(",", 2)[2]
+        open(truth, "w").writelines(lines)
+    return corrupt
+
+
 CORRUPTIONS = {
     "index-out-of-range": lambda obs, truth: _append(obs, "1,99,0.5\n"),
     "negative-index": lambda obs, truth: _append(obs, "1,-1,0.5\n"),
@@ -771,6 +807,12 @@ CORRUPTIONS = {
     "truth-empty": lambda obs, truth: open(truth, "w").write("j,v0\n"),
     "missing-row": _drop_rows(lambda row: row[:2] != ["1", "0"]),
     "missing-index": _drop_rows(lambda row: row[1] != "0"),
+    "value-nan": _set_first_value("nan"),
+    "value-inf": _set_first_value("inf"),
+    "value-minus-inf": _set_first_value("-inf"),
+    "complex-file": _complex_observations,
+    "truth-complex": _complex_truth,
+    "truth-nan": _set_truth_entry("nan"),
 }
 
 # the .meta key each bad value is reported under
@@ -782,6 +824,16 @@ META_KEYS = {
     "meta-n_steps-huge": "n_steps",
     "meta-n_steps-negative": "n_steps",
     "meta-dim-huge": "dim",
+}
+
+# the message each other refusal names its value or state with
+MESSAGES = {
+    "value-nan": "step 1, index 0: the value is not finite",
+    "value-inf": "step 1, index 0: the value is not finite",
+    "value-minus-inf": "step 1, index 0: the value is not finite",
+    "complex-file": "holds complex128 values, the model's states are float64",
+    "truth-complex": "line 2: not a finite float64 state of dimension 60",
+    "truth-nan": "line 6: not a finite float64 state of dimension 60",
 }
 
 
@@ -807,6 +859,7 @@ def test_corrupted_observation_files_exit_one(tmp_path, capsys, corruption):
     assert "Traceback" not in err
     if corruption in META_KEYS:
         assert f".meta: {META_KEYS[corruption]} " in err, err
+    assert MESSAGES.get(corruption, "") in err, err
 
 
 # a single RK4 substep across h = 2 on the cyclic model overflows
@@ -974,6 +1027,42 @@ def test_zero_noise_with_particle_filter_rejected(tmp_path, capsys):
     assert "positive noise strength" in capsys.readouterr().err
 
 
+def test_zero_noise_with_particle_filter_is_a_rule_of_runs_only(tmp_path, capsys):
+    # simulate runs no filter, and filter runs at the file's eps
+    text = TINY.replace("epsilons = 0.5 0.1", "epsilons = {eps}") + (
+        "\n[filter:pf]\nkind = particle\nn_particles = 10\n"
+    )
+    text = text.replace("[filter:trunc]\nkind = truncated-observer\n", "")
+    zero = write(tmp_path, text.format(eps=0, out="o.csv"), "zero.cfg")
+    one = write(tmp_path, text.format(eps=1, out="o.csv"), "one.cfg")
+    assert cli.main(["simulate", "--config", zero, "--out", str(tmp_path / "z")]) == 0
+    sim = str(tmp_path / "s")
+    assert cli.main(["simulate", "--config", one, "--out", sim]) == 0
+    assert "eps = 1\n" in open(sim + "_observations.csv.meta").read()
+    argv = ["filter", "--config", zero, "--obs", sim + "_observations.csv",
+            "--truth", sim + "_truth.csv", "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_spectral_filter_refuses_a_real_observation_file(tmp_path, capsys):
+    # the r rows of a complex file, renamed as a real file's rows
+    cfg = os.path.join(os.path.dirname(__file__), "goldens", "roundtrip", "ns_k3.cfg")
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", cfg, "--out", sim]) == 0
+    obs = sim + "_observations.csv"
+    lines = open(obs).read().splitlines()
+    real = [ln.replace("r,", ",") for ln in lines[1:] if ln.split(",")[1].endswith("r")]
+    open(obs, "w").write("\n".join(lines[:1] + real) + "\n")
+    _set_meta("complex", "0")(obs, None)
+    capsys.readouterr()
+    argv = ["filter", "--config", cfg, "--obs", obs, "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"chaosfilter: config error: bad observation file: {obs} holds float64")
+    assert not os.path.exists(tmp_path / "run.csv")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -1059,17 +1148,39 @@ def test_filter_streams_the_rows_of_the_collected_run(tmp_path, capsys, kind):
     projection = cfgmod.build_projection(exp.observation, model)
     noise = cfgmod.build_noise(exp.noise, projection)
     init_sampler = cfgmod.build_init_sampler(exp.model, model)
-    seq = observation.import_observations(obs)
+    seq = observation.import_observations(obs, projection)
     estimator = cfgmod.build_filter_runner(
         exp.filters[0], model, projection, noise, init_sampler
     ).at_eps(seq.eps)
     rng = observation.substream(exp.seed, "filter-cli")
     steps = estimator.steps(model, seq, rng)
     run = filters.collect_run(
-        model.error_norm, estimator.kind, steps, seq.n_steps, truth=observation.import_truth(truth)
+        model.error_norm, steps, seq.n_steps, truth=observation.import_truth(truth)
     )
     filters.export_filter_run(run, tmp_path / "whole.csv")
     assert streamed.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(FILTER_SECTIONS) + ["observer"])
+def test_non_finite_observed_value_exits_one_for_every_filter(tmp_path, capsys, kind):
+    section = FILTER_SECTIONS.get(kind, "kind = observer")
+    cfg = write(tmp_path, TINY.replace("kind = truncated-observer", section).format(out="o.csv"))
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", cfg, "--out", sim]) == 0
+    obs = sim + "_observations.csv"
+    lines = open(obs).readlines()
+    assert lines[3].startswith("3,0,")
+    lines[3] = "3,0,nan\n"
+    open(obs, "w").writelines(lines)
+    capsys.readouterr()
+    before = sorted(os.listdir(tmp_path))
+    argv = ["filter", "--config", cfg, "--obs", obs, "--truth", sim + "_truth.csv",
+            "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"chaosfilter: config error: bad observation file: {obs}: step 3, index 0: "
+                   "the value is not finite\n")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_filter_requires_single_filter_section(tmp_path):

@@ -103,6 +103,12 @@ def test_project_ball_sizes_a_row_whose_V_overflows():
         out = filters.project_ball_V(V, 10.0, x)
     np.testing.assert_array_equal(out[0], [10.0, 0.0, 0.0])
     np.testing.assert_array_equal(out[1], filters.project_ball_V(V, 10.0, x[1]))
+    # a row whose size is past float range even after the division lands
+    # on the ball's surface, not at 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = filters.project_ball_V(V, 10.0, np.array([[1.7e308] * 3]))
+    np.testing.assert_allclose(out, [[10.0 / np.sqrt(3.0)] * 3], rtol=1e-15)
 
 
 def test_projection_moves_closer_to_every_ball_point():

@@ -146,7 +146,7 @@ def write_special_values(out_dir):
         observation.export_observations(
             seq, projection, os.path.join(out_dir, f"{tag}_observations.csv")
         )
-        run = filters.FilterRun(kind="observer", estimates=block, sq_errors=extra,
+        run = filters.FilterRun(estimates=block, sq_errors=extra,
                                 ess=extra[::-1] if tag == "real" else None)
         filters.export_filter_run(run, os.path.join(out_dir, f"{tag}_filter.csv"))
 

@@ -287,7 +287,7 @@ def test_observation_csv_round_trip(tmp_path):
     )
     path = tmp_path / "obs.csv"
     observation.export_observations(obs, P, path)
-    back = observation.import_observations(path)
+    back = observation.import_observations(path, P)
     assert back.eps == obs.eps
     assert back.h == obs.h
     np.testing.assert_array_equal(back.ys, obs.ys)
@@ -304,7 +304,7 @@ def test_observation_csv_round_trip_spectral(tmp_path):
     )
     path = tmp_path / "obs_ns.csv"
     observation.export_observations(obs, P, path)
-    back = observation.import_observations(path)
+    back = observation.import_observations(path, P)
     np.testing.assert_array_equal(back.ys, obs.ys)
 
 
@@ -355,31 +355,59 @@ def test_repeated_observation_rows_are_rejected(tmp_path):
     ys = np.array([[1.5258 + 0.5j, 0.0], [2.0 - 1.0j, 0.0]])
     seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=ys)
     path = tmp_path / "obs.csv"
-    observation.export_observations(seq, observation.CoordinateProjection(2, [0]), path)
+    P = observation.CoordinateProjection(2, [0])
+    observation.export_observations(seq, P, path)
     lines = path.read_bytes().splitlines(keepends=True)
     assert lines[1] == b"1,0r,1.5258\r\n"
     path.write_bytes(b"".join(lines + [lines[1]]))
     with pytest.raises(ValueError, match=r"line 6: step 1, index '0r' given twice"):
-        observation.import_observations(path)
+        observation.import_observations(path, P)
 
 
 def test_missing_observation_rows_are_rejected(tmp_path):
     ys = np.array([[1.5, 0.0, 2.5], [2.0, 0.0, -1.0], [0.5, 0.0, 3.0]])
     seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=ys)
     path = tmp_path / "obs.csv"
-    observation.export_observations(seq, observation.CoordinateProjection(3, [0, 2]), path)
+    P = observation.CoordinateProjection(3, [0, 2])
+    observation.export_observations(seq, P, path)
     header, *rows = path.read_bytes().splitlines(keepends=True)
     assert rows[3] == b"2,2,-1\r\n"
     # rows may come in any order
     path.write_bytes(b"".join([header] + rows[::-1]))
-    back = observation.import_observations(path)
-    assert back.ys.tobytes() == ys.tobytes() and back.tokens == {"0", "2"}
-    # an index no step carries is not missing from any one step
+    assert observation.import_observations(path, P).ys.tobytes() == ys.tobytes()
+    # an observed index is required at every step, even when no step has it
     path.write_bytes(b"".join([header] + rows[0::2]))
-    assert observation.import_observations(path).tokens == {"0"}
+    with pytest.raises(ValueError, match=r"step 1 has no row for index '2'"):
+        observation.import_observations(path, P)
     path.write_bytes(b"".join([header] + rows[:3] + rows[4:]))
     with pytest.raises(ValueError, match=r"step 2 has no row for index '2'"):
-        observation.import_observations(path)
+        observation.import_observations(path, P)
+
+
+def test_unobserved_rows_must_hold_zero(tmp_path):
+    ys = np.array([[1.5, 0.0, 2.5], [2.0, 0.0, -1.0]])
+    seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=ys)
+    path = tmp_path / "obs.csv"
+    P = observation.CoordinateProjection(3, [0, 2])
+    observation.export_observations(seq, P, path)
+    written = path.read_bytes()
+    # zeros at the unobserved index, at one step only and repeated, are ignored
+    path.write_bytes(written + b"2,1,0\r\n2,1,-0\r\n")
+    assert observation.import_observations(path, P).ys.tobytes() == ys.tobytes()
+    bad = {
+        b"1,1,0.5\r\n": r"line 6: 0.5 at index '1', but values at indices the model "
+                       r"does not observe must be 0",
+        b"1,1,nan\r\n": r"line 6: nan at index '1'",
+        b"1,3,0\r\n": r"line 6: index 3 outside \[0, 3\)",
+        b"1,1r,0\r\n": r"line 6: bad index token '1r'",
+        b"3,1,0\r\n": r"line 6: step 3 outside 1..2",
+        # an observed index spelt another way is no unobserved one
+        b"1,02,0\r\n": r"line 6: bad index token '02'",
+    }
+    for line, message in bad.items():
+        path.write_bytes(written + line)
+        with pytest.raises(ValueError, match=message):
+            observation.import_observations(path, P)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -389,14 +417,15 @@ def test_missing_observation_rows_are_rejected(tmp_path):
 def test_bad_meta_values_are_rejected(tmp_path, key, value):
     seq = observation.ObservationSequence(eps=0.1, h=0.01, ys=np.ones((2, 1)))
     path = tmp_path / "obs.csv"
-    observation.export_observations(seq, observation.CoordinateProjection(1, [0]), path)
+    P = observation.CoordinateProjection(1, [0])
+    observation.export_observations(seq, P, path)
     meta = path.with_name("obs.csv.meta")
     lines = meta.read_text().splitlines()
     meta.write_text("".join(
         f"{key} = {value}\n" if ln.startswith(key + " ") else ln + "\n" for ln in lines
     ))
     with pytest.raises(ValueError, match=rf"\.meta: {key} must be .*, got '{value}'"):
-        observation.import_observations(path)
+        observation.import_observations(path, P)
 
 
 # awkward values every writer must carry through: signed zeros, subnormals,
@@ -449,7 +478,7 @@ def test_observation_csv_round_trip_is_bit_exact(ys, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "obs.csv")
         observation.export_observations(seq, projection, path)
-        back = observation.import_observations(path)
+        back = observation.import_observations(path, projection)
     assert (back.eps, back.h) == (eps, h)
     assert back.ys.dtype == ys.dtype and back.ys.tobytes() == ys.tobytes()
 
@@ -461,7 +490,7 @@ def test_filter_run_csv_parses_back_to_equal_values(est, data):
     column = hnp.arrays(np.float64, n, elements=st.floats(width=64))
     sq_errors = data.draw(st.none() | column)
     ess = data.draw(st.none() | column)
-    run = filters.FilterRun(kind="observer", estimates=est, sq_errors=sq_errors, ess=ess)
+    run = filters.FilterRun(estimates=est, sq_errors=sq_errors, ess=ess)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.csv")
         filters.export_filter_run(run, path)
